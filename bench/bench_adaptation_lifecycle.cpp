@@ -170,7 +170,6 @@ RunOutcome run_stream(const SmoreModel& model, const DriftWorlds& worlds,
                       std::uint64_t seed) {
   ServerConfig cfg;
   cfg.max_batch = 8;
-  cfg.max_delay_us = 100;
   cfg.num_workers = 1;
   cfg.adaptation = true;
   cfg.adapt_min_batch = adapt_min_batch;

@@ -3,14 +3,13 @@
 //
 // Spawns an InferenceServer, drives it from `--producers` threads that each
 // keep `--window` requests in flight (open-loop pipelined submission — the
-// shape of real concurrent clients), and sweeps the two scheduler knobs:
+// shape of real concurrent clients), and sweeps the scheduler knob:
 //
-//   batch=1/delay=0      — the per-request baseline: every request pays its
-//                          own queue hop, worker wakeup, kernel setup, and
-//                          result allocations;
-//   batch=N/delay=D      — micro-batching: those fixed costs amortize over
-//                          up to N coalesced requests served by ONE
-//                          predict_batch_full pass.
+//   batch=1   — the per-request baseline: every request pays its own queue
+//               hop, worker wakeup, kernel setup, and result allocations;
+//   batch=N   — micro-batching: those fixed costs amortize over up to N
+//               requests that queued while the worker was busy, served by
+//               ONE predict_batch_full pass (no formation timer).
 //
 // Reports queries/sec plus p50/p95/p99 submit→fulfill latency from the
 // server's own LatencyHistogram, for the float and the packed backend, and
@@ -82,7 +81,6 @@ struct RunResult {
   std::string label;
   std::string backend;
   std::size_t max_batch = 0;
-  std::uint32_t max_delay_us = 0;
   double seconds = 0.0;
   double qps = 0.0;
   double mean_batch_fill = 0.0;
@@ -94,14 +92,13 @@ struct RunResult {
 /// backend (float or packed — it was built with or without quantization)
 /// answers the queries; the server never knows which.
 RunResult run_config(const char* label, std::size_t max_batch,
-                     std::uint32_t max_delay_us, std::size_t workers,
+                     std::size_t workers,
                      const std::shared_ptr<const ModelSnapshot>& snap,
                      const HvMatrix& queries, std::size_t total,
                      std::size_t producers, std::size_t window,
                      const std::shared_ptr<obs::Telemetry>& hub = nullptr) {
   ServerConfig cfg;
   cfg.max_batch = max_batch;
-  cfg.max_delay_us = max_delay_us;
   cfg.num_workers = workers;
   cfg.queue_capacity = std::max<std::size_t>(1024, producers * window * 2);
   cfg.telemetry = hub;  // shared across configs when --metrics-json is on
@@ -137,7 +134,6 @@ RunResult run_config(const char* label, std::size_t max_batch,
   r.label = label;
   r.backend = snap->backend->name();
   r.max_batch = max_batch;
-  r.max_delay_us = max_delay_us;
   r.seconds = seconds;
   r.qps = static_cast<double>(stats.completed) / seconds;
   r.mean_batch_fill = stats.mean_batch_fill;
@@ -239,22 +235,22 @@ int main(int argc, char** argv) {
   // THE baseline of the acceptance figure: a batch-size-1 submit loop —
   // every producer submits one request and waits for its future before the
   // next (window=1), and the server coalesces nothing.
-  results.push_back(run_config("float submit loop (batch=1)", 1, 0, workers,
+  results.push_back(run_config("float submit loop (batch=1)", 1, workers,
                                float_snap, queries, total, producers,
                                /*window=*/1, hub));
-  results.push_back(run_config("float batch=1 pipelined", 1, 0, workers,
+  results.push_back(run_config("float batch=1 pipelined", 1, workers,
                                float_snap, queries, total, producers, window, hub));
-  results.push_back(run_config("float batch=8 delay=100", 8, 100, workers,
+  results.push_back(run_config("float batch=8", 8, workers,
                                float_snap, queries, total, producers, window, hub));
-  results.push_back(run_config("float batch=32 delay=200", 32, 200, workers,
+  results.push_back(run_config("float batch=32", 32, workers,
                                float_snap, queries, total, producers, window, hub));
-  results.push_back(run_config("float batch=64 delay=200", 64, 200, workers,
+  results.push_back(run_config("float batch=64", 64, workers,
                                float_snap, queries, total, producers, window, hub));
-  results.push_back(run_config("float batch=128 delay=500", 128, 500, workers,
+  results.push_back(run_config("float batch=128", 128, workers,
                                float_snap, queries, total, producers, window, hub));
-  results.push_back(run_config("packed batch=1 (baseline)", 1, 0, workers,
+  results.push_back(run_config("packed batch=1 (baseline)", 1, workers,
                                packed_snap, queries, total, producers, window, hub));
-  results.push_back(run_config("packed batch=64 delay=200", 64, 200, workers,
+  results.push_back(run_config("packed batch=64", 64, workers,
                                packed_snap, queries, total, producers, window, hub));
 
   // Acceptance figure: best float micro-batch vs the float submit loop.
@@ -299,11 +295,11 @@ int main(int argc, char** argv) {
     const RunResult& r = results[i];
     std::fprintf(f,
                  "    {\"backend\": \"%s\", \"max_batch\": %zu, "
-                 "\"max_delay_us\": %u, \"seconds\": %.6f, "
+                 "\"seconds\": %.6f, "
                  "\"queries_per_second\": %.1f, \"mean_batch_fill\": %.2f, "
                  "\"p50_ms\": %.4f, \"p95_ms\": %.4f, \"p99_ms\": %.4f, "
                  "\"max_ms\": %.4f}%s\n",
-                 r.backend.c_str(), r.max_batch, r.max_delay_us, r.seconds,
+                 r.backend.c_str(), r.max_batch, r.seconds,
                  r.qps, r.mean_batch_fill, 1e3 * r.latency.p50_seconds,
                  1e3 * r.latency.p95_seconds, 1e3 * r.latency.p99_seconds,
                  1e3 * r.latency.max_seconds,

@@ -241,7 +241,6 @@ int main(int argc, char** argv) {
       .flag_int("shards", 1, "router shards")
       .flag_int("workers-per-shard", 1, "batching workers per shard")
       .flag_int("max-batch", 64, "per-tenant micro-batch cap")
-      .flag_int("delay-us", 200, "batch-formation wait (us)")
       .flag_int("quota", 64, "per-tenant in-flight quota (fair phase)")
       .flag_int("churn-queries", 6000, "requests in the eviction-churn phase")
       .flag_string("out", "BENCH_serving_multitenant.json", "JSON output path")
@@ -276,8 +275,6 @@ int main(int argc, char** argv) {
   base_cfg.workers_per_shard =
       static_cast<std::size_t>(cli.get_int("workers-per-shard"));
   base_cfg.max_batch = static_cast<std::size_t>(cli.get_int("max-batch"));
-  base_cfg.max_delay_us =
-      static_cast<std::uint32_t>(cli.get_int("delay-us"));
   base_cfg.shard_queue_capacity =
       std::max<std::size_t>(1024, producers * window * 2);
   // One hub shared across every phase: the embedded snapshot shows

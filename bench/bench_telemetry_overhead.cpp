@@ -151,7 +151,6 @@ int main(int argc, char** argv) {
       .flag_int("producers", 4, "producer threads")
       .flag_int("window", 64, "in-flight requests per producer")
       .flag_int("max-batch", 64, "per-tenant micro-batch cap")
-      .flag_int("delay-us", 200, "batch-formation wait (us)")
       .flag_int("repeats", 5, "interleaved A/B repeats")
       .flag_string("out", "BENCH_telemetry.json", "JSON output path")
       .flag_int("seed", 42, "data seed");
@@ -178,7 +177,6 @@ int main(int argc, char** argv) {
 
   MultiTenantConfig base_cfg;
   base_cfg.max_batch = static_cast<std::size_t>(cli.get_int("max-batch"));
-  base_cfg.max_delay_us = static_cast<std::uint32_t>(cli.get_int("delay-us"));
   base_cfg.shard_queue_capacity =
       std::max<std::size_t>(1024, producers * window * 2);
 

@@ -137,7 +137,6 @@ int main(int argc, char** argv) {
   for (const bool use_packed : {false, true}) {
     ServerConfig scfg;
     scfg.max_batch = 32;
-    scfg.max_delay_us = 200;
     InferenceServer server(use_packed ? packed_snap : float_snap,
                            pipeline.encoder_ptr(), scfg);
     WallTimer serve_timer;

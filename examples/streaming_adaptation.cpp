@@ -61,7 +61,6 @@ int main() {
   // them as a new domain and publishes the next generation.
   ServerConfig cfg;
   cfg.max_batch = 32;
-  cfg.max_delay_us = 200;
   cfg.adaptation = true;
   cfg.adapt_min_batch = 64;
   cfg.adapt_poll_ms = 1;

@@ -197,7 +197,6 @@ std::optional<std::future<ServeResult>> MultiTenantServer::try_submit(
 void MultiTenantServer::worker_loop(std::size_t shard_index,
                                     std::size_t worker_index) {
   Shard& shard = *shards_[shard_index];
-  const std::chrono::microseconds delay(config_.max_delay_us);
 
   // Worker-local staging: arrivals (any tenant, FIFO off the shard queue)
   // are grouped per tenant here, because a batch cannot mix tenants. The
@@ -218,10 +217,10 @@ void MultiTenantServer::worker_loop(std::size_t shard_index,
   for (;;) {
     incoming.clear();
     if (pending == 0) {
-      // Idle: block for the first arrival (pop_batch also coalesces
-      // stragglers for max_delay_us). 0 means closed AND drained — with no
-      // pending work left, the shard is fully served.
-      if (shard.queue.pop_batch(incoming, config_.max_batch, delay) == 0) {
+      // Idle: block for the first arrival and take whatever queued with it.
+      // 0 means closed AND drained — with no pending work left, the shard
+      // is fully served.
+      if (shard.queue.pop_batch(incoming, config_.max_batch) == 0) {
         return;
       }
     } else {

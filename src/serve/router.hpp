@@ -14,7 +14,10 @@
 //   * per-tenant micro-batches — batches cannot mix tenants (each tenant has
 //     its own model), so shard workers stage arrivals into per-tenant
 //     pending groups and run ONE predict_batch_full per tenant-batch against
-//     that tenant's pinned snapshot. The batch pins the TenantModel: a
+//     that tenant's pinned snapshot. Formation is work-conserving, as on the
+//     single-tenant plane: an idle worker blocks for the first arrival and
+//     takes whatever queued with it, a busy one tops up without sleeping,
+//     and nothing waits for stragglers. The batch pins the TenantModel: a
 //     registry eviction mid-batch cannot free the model under the kernel;
 //   * tenant-fair admission + drain — with `fair` set, try_submit enforces a
 //     per-tenant in-flight quota (admission control: a Zipf-head tenant that
@@ -68,14 +71,13 @@
 
 namespace smore {
 
-/// Fleet-serving knobs. Scheduler knobs (max_batch / max_delay_us) mean the
-/// same as in ServerConfig; the new surface is the shard layout and the
-/// fairness policy.
+/// Fleet-serving knobs. max_batch means the same as in ServerConfig
+/// (batches are work-conserving, never timed); the new surface is the shard
+/// layout and the fairness policy.
 struct MultiTenantConfig {
   std::size_t num_shards = 1;        ///< independent queue+worker slices
   std::size_t workers_per_shard = 1; ///< batching workers per shard
   std::size_t max_batch = 64;        ///< per-tenant micro-batch cap
-  std::uint32_t max_delay_us = 200;  ///< batch-formation wait when idle
   std::size_t shard_queue_capacity = 1024;  ///< per-shard request bound
 
   bool fair = true;  ///< per-tenant quota + round-robin drain (see header)

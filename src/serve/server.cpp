@@ -170,10 +170,9 @@ bool InferenceServer::do_publish(std::shared_ptr<const ModelSnapshot> snap,
 void InferenceServer::worker_loop(std::size_t worker_index) {
   std::vector<Request> batch;
   batch.reserve(config_.max_batch);
-  const std::chrono::microseconds delay(config_.max_delay_us);
   for (;;) {
     batch.clear();
-    if (queue_.pop_batch(batch, config_.max_batch, delay) == 0) {
+    if (queue_.pop_batch(batch, config_.max_batch) == 0) {
       return;  // closed and drained: every in-flight request was handed out
     }
     process_batch(batch, worker_index);

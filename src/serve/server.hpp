@@ -6,8 +6,8 @@
 // WindowDataset. This is the component in between:
 //
 //   producers ──submit()──▶ MpmcQueue ──pop_batch()──▶ worker threads
-//                (future)     (bounded,                  coalesce ≤ max_batch
-//                              backpressure)             or max_delay_us,
+//                (future)     (bounded,                  take what is queued,
+//                              backpressure)             ≤ max_batch, no wait;
 //                                                        one batched predict,
 //                                                        fulfill futures
 //
@@ -19,7 +19,10 @@
 //     Encoder::encode_batch + ONE predict_batch_full per batch against an
 //     immutable ModelSnapshot — the per-request costs (wakeups, kernel
 //     setup, allocations) amortize across the batch, which is where the
-//     ≥5× over per-request dispatch comes from (bench_serving);
+//     ≥5× over per-request dispatch comes from (bench_serving). Batches
+//     are work-conserving: a worker never waits for stragglers, so a batch
+//     is whatever queued while the worker was busy (one request when idle,
+//     up to max_batch under load);
 //   * the adaptation worker drains OOD-flagged windows into a side buffer
 //     and, once enough accumulate, clones the live model, enrolls them as a
 //     new domain (descriptor absorb + pseudo-labeled OnlineHD updates — the
@@ -63,15 +66,14 @@ namespace smore {
 
 class Pipeline;
 
-/// Serving runtime knobs. The two scheduler knobs trade latency for
-/// throughput: max_batch caps how much work one kernel pass fuses, and
-/// max_delay_us caps how long the first request of a batch waits for
-/// stragglers when traffic is sparse. Which representation answers queries
-/// is NOT a server knob: every snapshot carries its own InferenceBackend
-/// (packed when quantized, float otherwise) and the server just calls it.
+/// Serving runtime knobs. The one scheduler knob, max_batch, caps how much
+/// queued work one kernel pass fuses; there is no batch-formation timer
+/// (the queue's pop is work-conserving, util/mpmc_queue.hpp). Which
+/// representation answers queries is NOT a server knob: every snapshot
+/// carries its own InferenceBackend (packed when quantized, float
+/// otherwise) and the server just calls it.
 struct ServerConfig {
   std::size_t max_batch = 64;        ///< coalesce at most this many requests
-  std::uint32_t max_delay_us = 200;  ///< batch-formation wait after 1st item
   std::size_t num_workers = 1;       ///< batching worker threads
   std::size_t queue_capacity = 1024; ///< request bound (backpressure point)
 

@@ -5,12 +5,12 @@
 // Producers (request threads) push single items and block when the queue is
 // full: the bound IS the backpressure policy, converting overload into
 // producer-side latency instead of unbounded memory growth. Consumers
-// (batching workers) pop *batches*: pop_batch blocks for the first item,
-// then keeps collecting until either `max_batch` items are in hand or
-// `max_delay` has elapsed since the first item of the batch was taken. Those
-// two knobs are the micro-batching scheduler's entire policy surface:
-// max_batch bounds per-batch latency under load, max_delay bounds latency
-// when traffic is sparse.
+// (batching workers) pop *batches*, work-conserving: pop_batch blocks only
+// for the first item, then takes whatever else is already queued, up to
+// `max_batch`, and returns. A batch is the work that arrived while the
+// consumer was busy — one item when idle, up to max_batch under load — and
+// there is no straggler timer (DESIGN.md §9 says why). max_batch is the one
+// policy knob; it bounds per-batch latency under load.
 //
 // The queue is a fixed ring over pre-sized storage: steady-state operation
 // allocates nothing. Synchronization is a mutex plus two condition
@@ -25,7 +25,6 @@
 // and then report exhaustion. This gives the server's graceful shutdown —
 // every in-flight request is still handed to a worker.
 
-#include <chrono>
 #include <cstddef>
 #include <stdexcept>
 #include <utility>
@@ -98,43 +97,19 @@ class MpmcQueue {
   }
 
   /// Batched pop: blocks until at least one item is available (or the queue
-  /// is closed and drained), then collects up to `max_batch` items, waiting
-  /// at most `max_delay` after the first item for stragglers. Appends to
-  /// `out` and returns the number of items taken; 0 means closed-and-empty
-  /// (the consumer should exit).
-  std::size_t pop_batch(std::vector<T>& out, std::size_t max_batch,
-                        std::chrono::microseconds max_delay) {
+  /// is closed and drained), then takes what is queued, up to `max_batch`,
+  /// without waiting for more. Appends to `out` and returns the number of
+  /// items taken; 0 means closed-and-empty (the consumer should exit).
+  std::size_t pop_batch(std::vector<T>& out, std::size_t max_batch) {
     if (max_batch == 0) max_batch = 1;
-    const MutexLock lock(mutex_);
-    while (count_ == 0 && !closed_) not_empty_.wait(mutex_);
-    if (count_ == 0) return 0;  // closed and drained
-    // Producers are signaled after EVERY take, not once on return: when the
-    // ring is smaller than max_batch, the straggler wait below must let
-    // blocked producers refill the freed capacity mid-wait, or the batch
-    // could never grow past the ring size per delay window.
-    std::size_t taken = take(out, max_batch);
-    not_full_.notify_all();
-    if (taken < max_batch && max_delay.count() > 0) {
-      const auto deadline = std::chrono::steady_clock::now() + max_delay;
-      while (taken < max_batch) {
-        // Timed wait for the (count_ > 0 || closed_) predicate, written as
-        // an explicit loop: a timeout with the predicate still false ends
-        // the straggler window.
-        bool ready = true;
-        while (count_ == 0 && !closed_) {
-          if (not_empty_.wait_until(mutex_, deadline) ==
-              std::cv_status::timeout) {
-            ready = count_ > 0 || closed_;
-            break;
-          }
-        }
-        if (!ready) break;       // delay budget exhausted
-        if (count_ == 0) break;  // closed and drained mid-wait
-        taken += take(out, max_batch - taken);
-        not_full_.notify_all();
-      }
+    std::size_t taken = 0;
+    {
+      const MutexLock lock(mutex_);
+      while (count_ == 0 && !closed_) not_empty_.wait(mutex_);
+      taken = take(out, max_batch);
     }
-    return taken;
+    if (taken != 0) not_full_.notify_all();
+    return taken;  // 0 only when closed and drained
   }
 
   /// Non-blocking batched pop: takes whatever is immediately available (up

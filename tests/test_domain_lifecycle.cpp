@@ -337,7 +337,6 @@ TEST(DomainLifecycleServe, ServerKeepsTheBankBoundedUnderConcurrentLoad) {
 
   ServerConfig cfg;
   cfg.max_batch = 8;
-  cfg.max_delay_us = 100;
   cfg.num_workers = 2;
   cfg.adaptation = true;
   cfg.lifecycle = true;
@@ -407,7 +406,6 @@ TEST(DomainLifecycleServe, RouterAdaptsTenantsIndependently) {
   cfg.num_shards = 2;
   cfg.workers_per_shard = 1;
   cfg.max_batch = 8;
-  cfg.max_delay_us = 100;
   cfg.adaptation = true;
   cfg.adapt_min_batch = 8;
   cfg.adapt_poll_ms = 1;

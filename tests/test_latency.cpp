@@ -5,6 +5,7 @@
 
 #include <atomic>
 #include <chrono>
+#include <future>
 #include <thread>
 #include <vector>
 
@@ -106,9 +107,9 @@ TEST(MpmcQueue, PopBatchReturnsUpToMaxBatchInFifoOrder) {
   MpmcQueue<int> q(16);
   for (int i = 0; i < 10; ++i) ASSERT_TRUE(q.push(i));
   std::vector<int> out;
-  EXPECT_EQ(q.pop_batch(out, 4, 0us), 4u);
+  EXPECT_EQ(q.pop_batch(out, 4), 4u);
   EXPECT_EQ(out, (std::vector<int>{0, 1, 2, 3}));
-  EXPECT_EQ(q.pop_batch(out, 100, 0us), 6u);
+  EXPECT_EQ(q.pop_batch(out, 100), 6u);
   EXPECT_EQ(out.size(), 10u);
   EXPECT_EQ(out.back(), 9);
 }
@@ -121,7 +122,7 @@ TEST(MpmcQueue, TryPushRefusesWhenFull) {
   // shed-reason reporting relies on (no racy closed() re-read).
   EXPECT_EQ(q.try_push(3), QueuePush::kFull);
   std::vector<int> out;
-  EXPECT_EQ(q.pop_batch(out, 1, 0us), 1u);
+  EXPECT_EQ(q.pop_batch(out, 1), 1u);
   EXPECT_EQ(q.try_push(3), QueuePush::kAccepted);  // capacity freed
 }
 
@@ -132,23 +133,42 @@ TEST(MpmcQueue, CloseDrainsThenReportsExhaustion) {
   EXPECT_FALSE(q.push(8));      // refused after close
   EXPECT_EQ(q.try_push(9), QueuePush::kClosed);
   std::vector<int> out;
-  EXPECT_EQ(q.pop_batch(out, 4, 1000us), 1u);  // drains the remainder
+  EXPECT_EQ(q.pop_batch(out, 4), 1u);  // drains the remainder
   EXPECT_EQ(out, std::vector<int>{7});
-  EXPECT_EQ(q.pop_batch(out, 4, 1000us), 0u);  // exhausted
+  EXPECT_EQ(q.pop_batch(out, 4), 0u);  // exhausted
 }
 
-TEST(MpmcQueue, PopBatchWaitsForDelayedProducers) {
+TEST(MpmcQueue, PopBatchReturnsWhatIsQueuedWithoutWaitingForMore) {
+  // Work-conserving: the pop takes the two queued items and returns. The
+  // producer pushes only after the pop has returned, so a pop that waited
+  // for more work (or for max_batch) would never come back.
   MpmcQueue<int> q(8);
-  std::thread producer([&q] {
-    std::this_thread::sleep_for(5ms);
-    q.push(1);
-    q.push(2);
+  ASSERT_TRUE(q.push(1));
+  ASSERT_TRUE(q.push(2));
+  std::promise<void> popped;
+  std::thread producer([&q, ready = popped.get_future()] {
+    ready.wait();
+    q.push(3);
   });
   std::vector<int> out;
-  // max_delay long enough to catch both pushes after the first arrives.
-  const std::size_t n = q.pop_batch(out, 2, 500000us);
+  EXPECT_EQ(q.pop_batch(out, 8), 2u);
+  popped.set_value();
   producer.join();
-  EXPECT_EQ(n, 2u);
+  EXPECT_EQ(out, (std::vector<int>{1, 2}));
+  EXPECT_EQ(q.size(), 1u);
+}
+
+TEST(MpmcQueue, PopBatchTakesAtMostMaxBatchFromAFullerQueue) {
+  // A full ring with a producer blocked behind it: the pop takes max_batch
+  // and leaves the rest queued; the capacity it frees releases the producer.
+  MpmcQueue<int> q(4);
+  for (int i = 0; i < 4; ++i) ASSERT_TRUE(q.push(i));
+  std::thread producer([&q] { EXPECT_TRUE(q.push(4)); });
+  std::vector<int> out;
+  EXPECT_EQ(q.pop_batch(out, 2), 2u);
+  producer.join();
+  EXPECT_EQ(out, (std::vector<int>{0, 1}));
+  EXPECT_EQ(q.size(), 3u);
 }
 
 TEST(MpmcQueue, BlockedPushWakesWhenCapacityFrees) {
@@ -162,24 +182,9 @@ TEST(MpmcQueue, BlockedPushWakesWhenCapacityFrees) {
   std::this_thread::sleep_for(2ms);
   EXPECT_FALSE(pushed.load());
   std::vector<int> out;
-  EXPECT_GE(q.pop_batch(out, 1, 0us), 1u);
+  EXPECT_GE(q.pop_batch(out, 1), 1u);
   producer.join();
   EXPECT_TRUE(pushed.load());
-}
-
-TEST(MpmcQueue, BatchGrowsPastRingCapacityDuringDelayWindow) {
-  // Regression: capacity freed by take() must be signaled to blocked
-  // producers DURING the straggler wait, or a ring smaller than max_batch
-  // could never fill a batch past the ring size per delay window.
-  MpmcQueue<int> q(4);
-  std::thread producer([&q] {
-    for (int i = 0; i < 16; ++i) ASSERT_TRUE(q.push(i));  // blocks at 4
-  });
-  std::vector<int> out;
-  const std::size_t n = q.pop_batch(out, 16, 2000000us);
-  producer.join();
-  EXPECT_EQ(n, 16u);
-  for (int i = 0; i < 16; ++i) EXPECT_EQ(out[static_cast<std::size_t>(i)], i);
 }
 
 TEST(MpmcQueue, ManyProducersOneConsumerLosesNothing) {
@@ -197,7 +202,7 @@ TEST(MpmcQueue, ManyProducersOneConsumerLosesNothing) {
   }
   std::vector<int> out;
   while (out.size() < kProducers * kPerProducer) {
-    q.pop_batch(out, 16, 1000us);
+    q.pop_batch(out, 16);
   }
   for (auto& t : producers) t.join();
   std::vector<bool> seen(kProducers * kPerProducer, false);

@@ -1,7 +1,7 @@
 // Serving-runtime tests: the micro-batching scheduler must be a correctness
-// no-op — any (max_batch, max_delay_us, producer-count) schedule returns
-// exactly what one direct batched call returns — and the snapshot swap must
-// never drop or corrupt an in-flight request.
+// no-op — any (max_batch, producer-count) schedule returns exactly what one
+// direct batched call returns — batches must form from load alone, and the
+// snapshot swap must never drop or corrupt an in-flight request.
 
 #include <gtest/gtest.h>
 
@@ -105,28 +105,50 @@ TEST_F(ServeTest, SchedulerIsEquivalentToDirectBatchedCall) {
   const SmoreBatchResult ref = snap->model->predict_batch_full(queries_.view());
   for (const std::size_t max_batch : {std::size_t{1}, std::size_t{7},
                                       std::size_t{32}}) {
-    for (const std::uint32_t delay_us : {0u, 200u}) {
-      for (const std::size_t producers : {std::size_t{1}, std::size_t{4}}) {
-        ServerConfig cfg;
-        cfg.max_batch = max_batch;
-        cfg.max_delay_us = delay_us;
-        cfg.num_workers = 2;
-        cfg.queue_capacity = 64;
-        InferenceServer server(snap, nullptr, cfg);
-        SCOPED_TRACE(::testing::Message()
-                     << "max_batch=" << max_batch << " delay=" << delay_us
-                     << " producers=" << producers);
-        expect_matches_reference(server, ref, producers);
-        server.shutdown();
-        const ServerStats stats = server.stats();
-        EXPECT_EQ(stats.submitted, queries_.rows());
-        EXPECT_EQ(stats.completed, queries_.rows());
-        EXPECT_EQ(stats.batched_rows, queries_.rows());
-        EXPECT_GE(stats.mean_batch_fill, 1.0);
-        EXPECT_EQ(stats.latency.count, queries_.rows());
-      }
+    for (const std::size_t producers : {std::size_t{1}, std::size_t{4}}) {
+      ServerConfig cfg;
+      cfg.max_batch = max_batch;
+      cfg.num_workers = 2;
+      cfg.queue_capacity = 64;
+      InferenceServer server(snap, nullptr, cfg);
+      SCOPED_TRACE(::testing::Message() << "max_batch=" << max_batch
+                                        << " producers=" << producers);
+      expect_matches_reference(server, ref, producers);
+      server.shutdown();
+      const ServerStats stats = server.stats();
+      EXPECT_EQ(stats.submitted, queries_.rows());
+      EXPECT_EQ(stats.completed, queries_.rows());
+      EXPECT_EQ(stats.batched_rows, queries_.rows());
+      EXPECT_GE(stats.mean_batch_fill, 1.0);
+      EXPECT_EQ(stats.latency.count, queries_.rows());
     }
   }
+}
+
+TEST_F(ServeTest, BacklogIsServedInFullBatchesWithoutATimer) {
+  // Load alone forms batches: N requests queued behind a held batch are
+  // served in ceil(N / max_batch) batches once the worker is free.
+  const auto snap = snapshot();
+  const SmoreBatchResult ref = snap->model->predict_batch_full(queries_.view());
+  ServerConfig cfg;
+  cfg.max_batch = 8;
+  auto gate = std::make_shared<testing::Gate>();
+  InferenceServer server(testing::gated(snap, gate), nullptr, cfg);
+  std::vector<std::future<ServeResult>> futures;
+  const auto first = queries_.row(0);
+  futures.push_back(server.submit({first.begin(), first.end()}));
+  gate->wait_for_callers(1);  // the worker holds a one-row batch
+  constexpr std::size_t kBacklog = 50;
+  for (std::size_t i = 1; i <= kBacklog; ++i) {
+    const auto row = queries_.row(i);
+    futures.push_back(server.submit({row.begin(), row.end()}));
+  }
+  gate->open();
+  for (std::size_t i = 0; i < futures.size(); ++i) {
+    EXPECT_EQ(futures[i].get().label, ref.labels[i]) << "row " << i;
+  }
+  EXPECT_EQ(server.stats().batches,
+            1 + (kBacklog + cfg.max_batch - 1) / cfg.max_batch);
 }
 
 TEST_F(ServeTest, PackedBackendMatchesDirectPackedCall) {
@@ -138,7 +160,6 @@ TEST_F(ServeTest, PackedBackendMatchesDirectPackedCall) {
       snap->packed->predict_batch_full(queries_.view());
   ServerConfig cfg;
   cfg.max_batch = 16;
-  cfg.max_delay_us = 100;
   InferenceServer server(snap, nullptr, cfg);
   expect_matches_reference(server, ref, 4);
 }
@@ -187,7 +208,6 @@ TEST_F(ServeTest, WindowRequestsAreEncodedInBatch) {
 
   ServerConfig cfg;
   cfg.max_batch = 8;
-  cfg.max_delay_us = 200;
   InferenceServer server(snap, encoder, cfg);
   encoder.reset();  // the server's shared ownership keeps it alive
   std::vector<std::future<ServeResult>> futures;
@@ -220,7 +240,6 @@ TEST_F(ServeTest, MixedWindowShapesCoalesceIntoIndependentGroups) {
 
   ServerConfig cfg;
   cfg.max_batch = 16;
-  cfg.max_delay_us = 500;
   InferenceServer server(snap, encoder, cfg);
   const std::size_t n = std::min<std::size_t>(24, raw_b.size());
   std::vector<std::future<ServeResult>> fut_a;
@@ -251,15 +270,19 @@ TEST_F(ServeTest, ShutdownFulfillsEveryInflightRequest) {
   const SmoreBatchResult ref = snap->model->predict_batch_full(queries_.view());
   ServerConfig cfg;
   cfg.max_batch = 4;
-  cfg.max_delay_us = 2000;  // slow batch formation: requests pile up
   cfg.queue_capacity = 512;
-  InferenceServer server(snap, nullptr, cfg);
+  // The gate holds the worker in its first batch: requests pile up.
+  auto gate = std::make_shared<testing::Gate>();
+  InferenceServer server(testing::gated(snap, gate), nullptr, cfg);
   std::vector<std::future<ServeResult>> futures;
   futures.reserve(queries_.rows());
   for (std::size_t i = 0; i < queries_.rows(); ++i) {
     const auto row = queries_.row(i);
     futures.push_back(server.submit({row.begin(), row.end()}));
   }
+  // Release the worker and close at once: the close lands long before the
+  // worker drains the pile, so shutdown() finds it queued.
+  gate->open();
   server.shutdown();  // must drain, not drop
   for (std::size_t i = 0; i < futures.size(); ++i) {
     const ServeResult r = futures[i].get();  // throws if a request was lost
@@ -288,7 +311,6 @@ TEST_F(ServeTest, SnapshotSwapDuringLoadDropsAndCorruptsNothing) {
   const SmoreBatchResult ref = snap->model->predict_batch_full(queries_.view());
   ServerConfig cfg;
   cfg.max_batch = 8;
-  cfg.max_delay_us = 100;
   cfg.num_workers = 2;
   InferenceServer server(snap, nullptr, cfg);
 
@@ -496,7 +518,6 @@ TEST_F(ServeTest, AdaptationWorkerEnrollsAnUnseenDomainUnderLoad) {
   ASSERT_EQ(snap->model->num_domains(), static_cast<std::size_t>(kDomains));
   ServerConfig cfg;
   cfg.max_batch = 8;
-  cfg.max_delay_us = 100;
   cfg.adaptation = true;
   cfg.adapt_min_batch = 16;
   cfg.adapt_poll_ms = 1;

@@ -1,7 +1,7 @@
 // MultiTenantServer tests: tenant → model routing correctness, per-tenant
 // failure isolation, fair admission (quota sheds the flooder, not the
-// fleet), graceful cross-shard drain, and eviction safety for in-flight
-// work.
+// fleet), batches formed by load alone, graceful cross-shard drain, and
+// eviction safety for in-flight work.
 
 #include <gtest/gtest.h>
 
@@ -60,21 +60,25 @@ class MultiTenantTest : public ::testing::Test {
   }
 
   /// Tenant "b" gets model B, tenants starting with "bad" fail to open,
-  /// everyone else gets model A.
-  [[nodiscard]] ModelRegistry::ArtifactOpener opener() const {
-    return [this](const std::string& tenant) {
+  /// everyone else gets model A. With a `gate`, every model serves through
+  /// a GatedBackend on it.
+  [[nodiscard]] ModelRegistry::ArtifactOpener opener(
+      std::shared_ptr<testing::Gate> gate = nullptr) const {
+    return [this, gate](const std::string& tenant) {
       if (tenant.rfind("bad", 0) == 0) {
         throw std::runtime_error("corrupt artifact for tenant " + tenant);
       }
       const std::string& bytes = tenant == "b" ? artifact_b_ : artifact_a_;
       std::istringstream in(bytes, std::ios::binary);
-      return ModelSnapshot::from_artifact(in, /*version=*/1);
+      auto snap = ModelSnapshot::from_artifact(in, /*version=*/1);
+      return gate != nullptr ? testing::gated(snap, gate) : snap;
     };
   }
 
   [[nodiscard]] std::shared_ptr<ModelRegistry> make_registry(
-      RegistryConfig cfg = {}) const {
-    return std::make_shared<ModelRegistry>(opener(), cfg);
+      RegistryConfig cfg = {},
+      std::shared_ptr<testing::Gate> gate = nullptr) const {
+    return std::make_shared<ModelRegistry>(opener(std::move(gate)), cfg);
   }
 
   [[nodiscard]] std::vector<float> query(std::size_t i) const {
@@ -97,7 +101,6 @@ TEST_F(MultiTenantTest, RoutesEachTenantToItsOwnModel) {
   MultiTenantConfig cfg;
   cfg.num_shards = 2;
   cfg.max_batch = 8;
-  cfg.max_delay_us = 100;
   MultiTenantServer server(make_registry(), cfg);
 
   // The SAME queries go to both tenants, interleaved; each must be answered
@@ -162,10 +165,12 @@ TEST_F(MultiTenantTest, QuotaShedsTheFlooderNotTheFleet) {
   MultiTenantConfig cfg;
   cfg.num_shards = 1;
   cfg.max_batch = 64;
-  cfg.max_delay_us = 100000;  // 100 ms: the first batch waits, requests pile
   cfg.fair = true;
   cfg.tenant_inflight_quota = 8;
-  MultiTenantServer server(make_registry(), cfg);
+  // The gate holds the worker in its first batch: nothing completes, so
+  // in-flight counts only grow while the flood is submitted.
+  auto gate = std::make_shared<testing::Gate>();
+  MultiTenantServer server(make_registry({}, gate), cfg);
 
   // Tenant "a" floods far past its quota before any batch can complete:
   // exactly `quota` requests are admitted, the rest shed with
@@ -188,6 +193,7 @@ TEST_F(MultiTenantTest, QuotaShedsTheFlooderNotTheFleet) {
   // Tenant "b" is under ITS OWN quota: still admitted — the flooder's
   // exhaustion sheds the flooder, not the fleet.
   auto fut_b = server.try_submit("b", query(0));
+  gate->open();
   ASSERT_TRUE(fut_b.has_value());
   EXPECT_EQ(fut_b->get().status, ServeStatus::kOk);
 
@@ -202,10 +208,12 @@ TEST_F(MultiTenantTest, UnfairModeHasNoQuota) {
   MultiTenantConfig cfg;
   cfg.num_shards = 1;
   cfg.max_batch = 64;
-  cfg.max_delay_us = 100000;
   cfg.fair = false;  // throughput-greedy baseline
   cfg.tenant_inflight_quota = 8;  // ignored without fair
-  MultiTenantServer server(make_registry(), cfg);
+  // The held worker keeps all 50 requests in flight at once.
+  auto gate = std::make_shared<testing::Gate>();
+  MultiTenantServer server(make_registry({}, gate), cfg);
+  const testing::GateRelease release(*gate);  // runs before ~server
 
   std::vector<std::future<ServeResult>> futures;
   for (int i = 0; i < 50; ++i) {
@@ -213,16 +221,41 @@ TEST_F(MultiTenantTest, UnfairModeHasNoQuota) {
     ASSERT_TRUE(fut.has_value()) << "request " << i;
     futures.push_back(std::move(*fut));
   }
+  gate->open();
   for (auto& f : futures) EXPECT_EQ(f.get().status, ServeStatus::kOk);
   EXPECT_EQ(server.stats().shed_tenant_quota, 0u);
+}
+
+TEST_F(MultiTenantTest, BacklogIsServedInFullBatchesWithoutATimer) {
+  // Load alone forms batches: N requests queued behind a held batch are
+  // served in ceil(N / max_batch) batches once the worker is free.
+  MultiTenantConfig cfg;
+  cfg.num_shards = 1;
+  cfg.max_batch = 8;
+  auto gate = std::make_shared<testing::Gate>();
+  MultiTenantServer server(make_registry({}, gate), cfg);
+  std::vector<std::future<ServeResult>> futures;
+  futures.push_back(server.submit("a", query(0)));
+  gate->wait_for_callers(1);  // the worker holds a one-row batch
+  constexpr std::size_t kBacklog = 50;
+  for (std::size_t i = 1; i <= kBacklog; ++i) {
+    futures.push_back(server.submit("a", query(i)));
+  }
+  gate->open();
+  for (std::size_t i = 0; i < futures.size(); ++i) {
+    EXPECT_EQ(futures[i].get().label, ref_a_.labels[i]) << "row " << i;
+  }
+  EXPECT_EQ(server.stats().batches,
+            1 + (kBacklog + cfg.max_batch - 1) / cfg.max_batch);
 }
 
 TEST_F(MultiTenantTest, ShutdownDrainsEveryShardAndResolvesLateSubmits) {
   MultiTenantConfig cfg;
   cfg.num_shards = 4;
   cfg.max_batch = 4;
-  cfg.max_delay_us = 2000;  // slow batch formation: work is pending at close
-  MultiTenantServer server(make_registry(), cfg);
+  // The gate holds every shard's worker in its first batch: work piles up.
+  auto gate = std::make_shared<testing::Gate>();
+  MultiTenantServer server(make_registry({}, gate), cfg);
 
   // 12 tenants spread over the 4 shards, several queries each.
   std::vector<std::future<ServeResult>> futures;
@@ -234,6 +267,9 @@ TEST_F(MultiTenantTest, ShutdownDrainsEveryShardAndResolvesLateSubmits) {
       expected.push_back(ref_a_.labels[i]);
     }
   }
+  // Release the workers and close at once: the close lands long before the
+  // workers drain the pile, so shutdown() finds it pending.
+  gate->open();
   server.shutdown();  // must drain every shard's pending groups, not drop
   for (std::size_t i = 0; i < futures.size(); ++i) {
     const ServeResult r = futures[i].get();  // throws if a request was lost
@@ -256,8 +292,9 @@ TEST_F(MultiTenantTest, EvictionMidFlightKeepsServingPinnedModels) {
   MultiTenantConfig cfg;
   cfg.num_shards = 1;
   cfg.max_batch = 64;
-  cfg.max_delay_us = 50000;  // 50 ms: requests are in flight during evict
-  MultiTenantServer server(make_registry(), cfg);
+  // The gate holds the worker: requests are in flight during evict.
+  auto gate = std::make_shared<testing::Gate>();
+  MultiTenantServer server(make_registry({}, gate), cfg);
 
   std::vector<std::future<ServeResult>> futures;
   for (std::size_t i = 0; i < 20; ++i) {
@@ -267,6 +304,7 @@ TEST_F(MultiTenantTest, EvictionMidFlightKeepsServingPinnedModels) {
   // admitted request pinned the TenantModel at submit time, so the batch
   // serves the evicted generation safely.
   EXPECT_TRUE(server.registry().evict("a"));
+  gate->open();
   for (std::size_t i = 0; i < futures.size(); ++i) {
     const ServeResult r = futures[i].get();
     EXPECT_EQ(r.status, ServeStatus::kOk);
@@ -300,23 +338,27 @@ TEST_F(MultiTenantTest, RedeployWithNewDimensionFailsPerRequestNotTheWorker) {
   const std::string small_artifact = buf.str();
 
   auto redeployed = std::make_shared<std::atomic<bool>>(false);
+  auto gate = std::make_shared<testing::Gate>();
   auto registry = std::make_shared<ModelRegistry>(
-      [this, small_artifact, redeployed](const std::string&) {
+      [this, small_artifact, redeployed, gate](const std::string&) {
         const std::string& bytes =
             redeployed->load() ? small_artifact : artifact_a_;
         std::istringstream in(bytes, std::ios::binary);
-        return ModelSnapshot::from_artifact(in, /*version=*/1);
+        return testing::gated(ModelSnapshot::from_artifact(in, /*version=*/1),
+                              gate);
       });
 
   MultiTenantConfig cfg;
   cfg.num_shards = 1;
   cfg.workers_per_shard = 1;
   cfg.max_batch = 2;
-  cfg.max_delay_us = 2000000;  // 2 s: the worker holds the batch open until
-                               // the second (mismatched) request joins it
   MultiTenantServer server(std::move(registry), cfg);
 
-  // Pins the kDim model; sits in the worker's open batch.
+  // The worker holds a first batch at the gate, so the next two requests
+  // queue behind it and are popped together into ONE batch.
+  std::future<ServeResult> held = server.submit("a", query(1));
+  gate->wait_for_callers(1);
+  // Pins the kDim model; queued first, so it sets the batch's dimension.
   std::future<ServeResult> old_gen = server.submit("a", query(0));
   // Redeploy: evict, reload at kSmallDim, submit a request validated against
   // (and pinned to) the new model. Same tenant → same batch, mixed dims.
@@ -324,7 +366,9 @@ TEST_F(MultiTenantTest, RedeployWithNewDimensionFailsPerRequestNotTheWorker) {
   EXPECT_TRUE(server.registry().evict("a"));
   std::future<ServeResult> new_gen =
       server.submit("a", std::vector<float>(kSmallDim, 0.0f));
+  gate->open();
 
+  EXPECT_EQ(held.get().status, ServeStatus::kOk);
   EXPECT_EQ(old_gen.get().status, ServeStatus::kOk);  // batch-dim row served
   EXPECT_THROW(new_gen.get(), std::invalid_argument);  // its own promise only
   // The worker survived; the tenant keeps serving at its new dimension.

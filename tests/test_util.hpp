@@ -1,14 +1,22 @@
 #pragma once
 // Shared fixtures/helpers for the test suite: tiny synthetic specs, linearly
-// separable encoded datasets, and numerical gradient checking for layers.
+// separable encoded datasets, numerical gradient checking for layers, and a
+// gated serving backend that holds a worker mid-batch until the test says go.
 
 #include <cmath>
+#include <cstddef>
 #include <functional>
+#include <memory>
+#include <utility>
 #include <vector>
 
+#include "core/inference_backend.hpp"
 #include "data/synthetic.hpp"
 #include "hdc/hv_dataset.hpp"
 #include "nn/tensor.hpp"
+#include "serve/snapshot.hpp"
+#include "util/annotations.hpp"
+#include "util/mutex.hpp"
 #include "util/rng.hpp"
 
 namespace smore::testing {
@@ -90,6 +98,100 @@ inline double numerical_grad(const std::function<double()>& f, float& x,
   const double lo = f();
   x = saved;
   return (hi - lo) / (2.0 * static_cast<double>(eps));
+}
+
+/// A one-shot latch for GatedBackend. Until open(), every gated predict call
+/// blocks inside the serving worker that made it, so requests submitted
+/// meanwhile stay queued behind that batch — the deterministic way to build
+/// a backlog or hold work in flight, with no timers.
+class Gate {
+ public:
+  /// Release every held call and let all later calls through. Idempotent.
+  void open() {
+    {
+      const MutexLock lock(m_);
+      open_ = true;
+    }
+    cv_.notify_all();
+  }
+
+  /// Block until `n` gated calls in total have reached the gate.
+  void wait_for_callers(std::size_t n) {
+    const MutexLock lock(m_);
+    while (callers_ < n) cv_.wait(m_);
+  }
+
+  /// Called by GatedBackend: count the caller, then wait for open().
+  void pass() {
+    const MutexLock lock(m_);
+    ++callers_;
+    cv_.notify_all();
+    while (!open_) cv_.wait(m_);
+  }
+
+ private:
+  Mutex m_;
+  CondVar cv_;
+  bool open_ SMORE_GUARDED_BY(m_) = false;
+  std::size_t callers_ SMORE_GUARDED_BY(m_) = 0;
+};
+
+/// Opens a gate when destroyed. Declared after the gated server, it runs
+/// first on every exit from a test body, so a fatal assertion that returns
+/// early never leaves the server's destructor joining a held worker.
+class GateRelease {
+ public:
+  explicit GateRelease(Gate& gate) : gate_(gate) {}
+  ~GateRelease() { gate_.open(); }
+  GateRelease(const GateRelease&) = delete;
+  GateRelease& operator=(const GateRelease&) = delete;
+
+ private:
+  Gate& gate_;
+};
+
+/// InferenceBackend decorator: predict_batch_full passes the gate, then
+/// forwards to the wrapped backend (answers are unchanged).
+class GatedBackend final : public InferenceBackend {
+ public:
+  GatedBackend(std::shared_ptr<const InferenceBackend> inner,
+               std::shared_ptr<Gate> gate)
+      : inner_(std::move(inner)), gate_(std::move(gate)) {}
+
+  [[nodiscard]] SmoreBatchResult predict_batch_full(
+      HvView queries) const override {
+    gate_->pass();
+    return inner_->predict_batch_full(queries);
+  }
+  [[nodiscard]] std::size_t footprint_bytes() const noexcept override {
+    return inner_->footprint_bytes();
+  }
+  [[nodiscard]] std::size_t dim() const noexcept override {
+    return inner_->dim();
+  }
+  [[nodiscard]] std::size_t num_domains() const noexcept override {
+    return inner_->num_domains();
+  }
+  [[nodiscard]] ServeBackend kind() const noexcept override {
+    return inner_->kind();
+  }
+  [[nodiscard]] const char* name() const noexcept override {
+    return inner_->name();
+  }
+
+ private:
+  std::shared_ptr<const InferenceBackend> inner_;
+  std::shared_ptr<Gate> gate_;
+};
+
+/// A copy of `snap` that serves through a GatedBackend on `gate`.
+inline std::shared_ptr<const ModelSnapshot> gated(
+    const std::shared_ptr<const ModelSnapshot>& snap,
+    std::shared_ptr<Gate> gate) {
+  auto copy = std::make_shared<ModelSnapshot>(*snap);
+  copy->backend =
+      std::make_shared<const GatedBackend>(snap->backend, std::move(gate));
+  return copy;
 }
 
 }  // namespace smore::testing
