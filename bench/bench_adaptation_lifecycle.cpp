@@ -16,11 +16,12 @@
 //
 // Two identical streaming runs over that schedule:
 //
-//   bounded    ServerConfig::lifecycle on — cluster / merge / decay / evict
+//   bounded    the lifecycle as deployed — cluster / merge / decay / evict
 //              against lifecycle_config.max_domains;
-//   unbounded  the pre-lifecycle policy (one new domain per round, no cap):
-//              K grows with stream length, and with it the O(K) per-query
-//              ensemble cost and the model footprint.
+//   unbounded  the same lifecycle with no cap and merging off (every
+//              cluster enrolls as a new domain, nothing is evicted): K grows
+//              with stream length, and with it the O(K) per-query ensemble
+//              cost and the model footprint.
 //
 // Per measurement window the bench records client-observed p50/p99 (from
 // LatencyHistogram::snapshot_and_reset), process RSS, live K, and the
@@ -29,7 +30,7 @@
 //
 //   * bounded bank never exceeds max_domains;
 //   * bounded late-window RSS <= 1.1x its early window, p99 <= 1.2x;
-//   * unbounded shows growth in both (the baseline the lifecycle removes);
+//   * unbounded shows growth in both (the baseline the cap removes);
 //   * bounded recurring-drift accuracy within 0.03 of unbounded.
 //
 // Scale note (DESIGN.md §7): single-core CI runs cannot hold microsecond
@@ -43,6 +44,7 @@
 #include <cstdio>
 #include <deque>
 #include <future>
+#include <limits>
 #include <string>
 #include <thread>
 #include <vector>
@@ -165,7 +167,7 @@ struct StreamParams {
 
 /// One full streaming run against a fresh server built from `model`.
 RunOutcome run_stream(const SmoreModel& model, const DriftWorlds& worlds,
-                      const StreamParams& p, bool lifecycle,
+                      const StreamParams& p, bool bounded,
                       std::size_t max_domains, std::size_t adapt_min_batch,
                       std::uint64_t seed) {
   ServerConfig cfg;
@@ -175,20 +177,20 @@ RunOutcome run_stream(const SmoreModel& model, const DriftWorlds& worlds,
   cfg.adapt_min_batch = adapt_min_batch;
   cfg.adapt_buffer_capacity = 4 * adapt_min_batch;
   cfg.adapt_poll_ms = 1;
-  if (lifecycle) {
-    cfg.lifecycle = true;
+  cfg.lifecycle_config.protected_domains = model.num_domains();
+  cfg.lifecycle_config.cluster.max_clusters = 4;
+  if (bounded) {
     cfg.lifecycle_config.max_domains = max_domains;
     // Below the calibrated δ*: OOD-gated candidates always have best
     // similarity < δ*, so a threshold above it would disable merging.
     cfg.lifecycle_config.merge_threshold = 0.50;
     cfg.lifecycle_config.usage_decay = 0.95;
-    cfg.lifecycle_config.protected_domains = model.num_domains();
-    cfg.lifecycle_config.cluster.max_clusters = 4;
   } else {
-    cfg.adapt_max_domains = 1'000'000;  // the unbounded baseline
+    // The unbounded baseline: no cap, and no cosine reaches the threshold.
+    cfg.lifecycle_config.max_domains = std::numeric_limits<std::size_t>::max();
+    cfg.lifecycle_config.merge_threshold = 2.0;
   }
-  InferenceServer server(ModelSnapshot::make(model.clone(), false, 1),
-                         nullptr, cfg);
+  InferenceServer server(ModelSnapshot::make(model.clone(), false, 1), cfg);
 
   Rng rng(seed);
   RunOutcome out;
@@ -387,13 +389,13 @@ int main(int argc, char** argv) {
               max_domains);
 
   // Bounded FIRST (see the scale note in the header).
-  const RunOutcome bounded = run_stream(model, worlds, p, /*lifecycle=*/true,
+  const RunOutcome bounded = run_stream(model, worlds, p, /*bounded=*/true,
                                         max_domains, adapt_min_batch, seed);
   print_run("bounded (lifecycle)", bounded);
   const RunOutcome unbounded =
-      run_stream(model, worlds, p, /*lifecycle=*/false, max_domains,
+      run_stream(model, worlds, p, /*bounded=*/false, max_domains,
                  adapt_min_batch, seed);
-  print_run("unbounded (no lifecycle)", unbounded);
+  print_run("unbounded (no cap, no merge)", unbounded);
 
   // Cohorts are whole cycles: early = cycle 2 (cycle 1 pays allocator and
   // snapshot warmup — RSS climbs regardless of policy while the heap grows

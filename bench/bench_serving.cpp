@@ -102,7 +102,7 @@ RunResult run_config(const char* label, std::size_t max_batch,
   cfg.num_workers = workers;
   cfg.queue_capacity = std::max<std::size_t>(1024, producers * window * 2);
   cfg.telemetry = hub;  // shared across configs when --metrics-json is on
-  InferenceServer server(snap, nullptr, cfg);
+  InferenceServer server(snap, cfg);
 
   WallTimer timer;
   std::vector<std::thread> threads;

@@ -137,8 +137,7 @@ int main(int argc, char** argv) {
   for (const bool use_packed : {false, true}) {
     ServerConfig scfg;
     scfg.max_batch = 32;
-    InferenceServer server(use_packed ? packed_snap : float_snap,
-                           pipeline.encoder_ptr(), scfg);
+    InferenceServer server(use_packed ? packed_snap : float_snap, scfg);
     WallTimer serve_timer;
     std::deque<std::future<ServeResult>> inflight;
     for (std::size_t i = 0; i < probe; ++i) {

@@ -10,8 +10,9 @@
 //   * per-request OOD verdicts flipping when the unseen subject appears;
 //   * the online-adaptation worker enrolling the new subject CONCURRENTLY
 //     with live traffic: OOD windows drain into its side buffer, it clones
-//     the live model, absorbs them as a new domain (Sec 3.6 "Model Update"),
-//     and publishes a new snapshot — no request is ever blocked by it;
+//     the live model, runs a lifecycle round that absorbs them as new or
+//     merged domains (Sec 3.6 "Model Update"), and publishes a new snapshot
+//     — no request is ever blocked by it;
 //   * the OOD rate dropping once the published generation knows the new
 //     domain, without the serving path ever taking a lock;
 //   * the domain LIFECYCLE (DESIGN.md §13) keeping the bank bounded as more
@@ -57,8 +58,8 @@ int main() {
 
   // Boot the serving runtime straight from the pipeline (snapshot v1, the
   // pipeline's encoder shared into the server) with online adaptation
-  // enabled: once 64 OOD windows accumulate, the adaptation worker enrolls
-  // them as a new domain and publishes the next generation.
+  // enabled: once 64 OOD windows accumulate, the adaptation worker runs a
+  // lifecycle round over them and publishes the next generation.
   ServerConfig cfg;
   cfg.max_batch = 32;
   cfg.adaptation = true;
@@ -67,7 +68,6 @@ int main() {
   // Bounded lifecycle (DESIGN.md §13): enrollment may never grow the bank
   // past the cap, the source domains are eviction-protected, and recurring
   // drift merges into its old domain instead of enrolling a duplicate.
-  cfg.lifecycle = true;
   cfg.lifecycle_config.max_domains = pipeline.num_domains() + 2;
   cfg.lifecycle_config.protected_domains = pipeline.num_domains();
   InferenceServer server(pipeline, cfg);

@@ -23,9 +23,9 @@
 //            AND its class bank together (SmoreModel::remove_domain).
 //
 // The engine is deliberately a pure model-to-model transformation: it knows
-// nothing about threads, snapshots, or servers. The serving layers clone the
-// live model, run one round, and publish the result (serve/server.cpp,
-// serve/router.cpp), so readers never observe intermediate states.
+// nothing about threads, snapshots, or servers. The serving plane clones the
+// live model, runs one round, and publishes the result (serve/router.cpp,
+// via serve/adaptation.hpp), so readers never observe intermediate states.
 
 #include <cstddef>
 #include <span>

@@ -32,7 +32,7 @@ struct TraceSpan {
   std::uint64_t snapshot_version = 0;  ///< model generation that served it
   std::uint64_t queue_ns = 0;          ///< submit → batch start
   std::uint64_t encode_ns = 0;         ///< batch start → encode done (0 when
-                                       ///< the plane takes pre-encoded HVs)
+                                       ///< the batch is all pre-encoded HVs)
   std::uint64_t predict_ns = 0;        ///< encode done → predict done
   std::uint64_t fulfill_ns = 0;        ///< predict done → accounting/fulfill
   std::uint64_t total_ns = 0;
@@ -43,13 +43,15 @@ struct TraceSpan {
   std::uint8_t slow = 0;  ///< kept because it crossed the slow threshold
   std::uint8_t sampled = 0;
   std::uint8_t pad_ = 0;
-  char tenant[24] = {};  ///< "" on the single-tenant plane
+  char tenant[24] = {};  ///< "" for a one-tenant InferenceServer
 
   void set_tenant(std::string_view t) noexcept {
     const std::size_t n = t.size() < sizeof(tenant) - 1
                               ? t.size()
                               : sizeof(tenant) - 1;
-    std::memcpy(tenant, t.data(), n);
+    // An empty view may carry a null data(): memcpy from null is UB even
+    // for zero bytes.
+    if (n != 0) std::memcpy(tenant, t.data(), n);
     tenant[n] = '\0';
   }
 };

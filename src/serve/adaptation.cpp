@@ -1,7 +1,6 @@
 #include "serve/adaptation.hpp"
 
 #include "hdc/hv_matrix.hpp"
-#include "obs/telemetry.hpp"
 
 namespace smore {
 
@@ -23,21 +22,6 @@ AdaptationOutcome run_lifecycle_round(
   out.next =
       ModelSnapshot::next_generation(parent, std::move(next), next_version);
   return out;
-}
-
-void emit_lifecycle_events(obs::Telemetry& telemetry, std::string_view scope,
-                           const LifecycleRoundStats& stats) {
-  for (const int id : stats.merged_ids) {
-    telemetry.emit(obs::EventType::kLifecycleMerge, scope, "centroid-match",
-                   id);
-  }
-  for (const int id : stats.enrolled_ids) {
-    telemetry.emit(obs::EventType::kLifecycleEnroll, scope, "novel-cluster",
-                   id);
-  }
-  for (const int id : stats.evicted_ids) {
-    telemetry.emit(obs::EventType::kLifecycleEvict, scope, "domain-cap", id);
-  }
 }
 
 }  // namespace smore

@@ -1,25 +1,21 @@
 #pragma once
-// The adaptation round shared by both serving planes (DESIGN.md §13).
+// One adaptation round of the serving plane (DESIGN.md §13).
 //
-// The single-tenant InferenceServer and the multi-tenant router both run the
-// same loop: drain an OOD side buffer, clone the live generation, run one
-// DomainLifecycle round on the clone, publish the result as the next
-// generation. This header is that one round as a pure function — the two
-// servers keep only their own buffering, locking, and publish plumbing.
+// The router's adaptation worker (serve/router.cpp) drains a tenant's OOD
+// side buffer, clones the live generation, runs one DomainLifecycle round on
+// the clone, and publishes the result as the next generation. This header is
+// that one round as a pure function — the router keeps only its buffering,
+// locking, and publish plumbing. The bounded lifecycle is the only
+// adaptation policy; the one-tenant InferenceServer façade runs it too.
 
 #include <cstdint>
 #include <memory>
 #include <span>
-#include <string_view>
 #include <utility>
 #include <vector>
 
 #include "core/domain_lifecycle.hpp"
 #include "serve/snapshot.hpp"
-
-namespace smore::obs {
-class Telemetry;
-}  // namespace smore::obs
 
 namespace smore {
 
@@ -48,13 +44,5 @@ struct AdaptationOutcome {
     const ModelSnapshot& parent, std::span<const OodSample> round,
     std::span<const std::pair<int, double>> usage,
     const LifecycleConfig& config, std::uint64_t next_version);
-
-/// Emit one lifecycle event per merge / enroll / evict decision of a
-/// PUBLISHED round (DESIGN.md §14) — call this only after the publish CAS
-/// succeeded, so the event log never claims changes that a lost race threw
-/// away (a shed round emits kAdaptationShed at its own decision site
-/// instead). `scope` is the tenant (fleet plane) or the plane name.
-void emit_lifecycle_events(obs::Telemetry& telemetry, std::string_view scope,
-                           const LifecycleRoundStats& stats);
 
 }  // namespace smore

@@ -2,6 +2,7 @@
 
 #include <fstream>
 #include <stdexcept>
+#include <string>
 #include <utility>
 
 #include "core/pipeline.hpp"
@@ -10,24 +11,38 @@ namespace smore {
 
 TenantModel::TenantModel(std::string tenant,
                          std::shared_ptr<const ModelSnapshot> boot)
-    : tenant_(std::move(tenant)) {
-  if (boot == nullptr || boot->model == nullptr) {
-    throw std::invalid_argument("TenantModel: null boot snapshot");
-  }
-  dim_ = boot->model->dim();
-  generations_.publish(std::move(boot));
+    : tenant_(std::move(tenant)),
+      dim_(boot != nullptr && boot->model != nullptr ? boot->model->dim() : 0) {
+  publish(std::move(boot));
 }
 
 bool TenantModel::publish(std::shared_ptr<const ModelSnapshot> snap) {
-  if (snap == nullptr || snap->model == nullptr) {
-    throw std::invalid_argument("TenantModel::publish: null snapshot");
+  // Every served generation carries a model (adaptation clones it) and a
+  // backend (the next batch calls it), and an encoder, when set, of the
+  // model's width.
+  if (snap == nullptr || snap->model == nullptr || snap->backend == nullptr) {
+    throw std::invalid_argument("TenantModel: null snapshot for tenant " +
+                                tenant_);
   }
-  if (snap->model->dim() != dim_) {
+  if (snap->model->dim() != dim_ ||
+      (snap->encoder != nullptr && snap->encoder->dim() != dim_)) {
     throw std::invalid_argument(
-        "TenantModel::publish: snapshot dimension mismatch for tenant " +
-        tenant_);
+        "TenantModel: snapshot dimension mismatch for tenant " + tenant_);
   }
-  return generations_.publish(std::move(snap));
+  // The version check and the swap are one atomic step, or a slow publisher
+  // (e.g. an adaptation round built off generation N) could overwrite a
+  // newer generation installed meanwhile by another publisher.
+  auto expected = current_.load(std::memory_order_acquire);
+  for (;;) {
+    if (expected != nullptr && snap->version <= expected->version) {
+      return false;  // stale publisher loses; the newer generation stays
+    }
+    if (current_.compare_exchange_weak(expected, snap,
+                                       std::memory_order_acq_rel,
+                                       std::memory_order_acquire)) {
+      return true;
+    }
+  }
 }
 
 std::size_t snapshot_resident_bytes(const ModelSnapshot& snap) {
@@ -36,11 +51,11 @@ std::size_t snapshot_resident_bytes(const ModelSnapshot& snap) {
   if (snap.packed != nullptr) bytes += snap.packed->footprint_bytes();
   // Encoder state (item-memory basis, level bank, projection matrix) is
   // charged at its CURRENT materialized size. A freshly loaded artifact
-  // carries config+seed only, and the multi-tenant data plane submits
-  // pre-encoded hypervectors, so the basis normally never materializes and
-  // near-zero is the true cost. A tenant that encodes raw windows grows its
-  // basis AFTER this charge — that growth is outside the registry budget
-  // (see RegistryConfig::byte_budget), not silently undercounted at load.
+  // carries config+seed only, and a tenant whose traffic is pre-encoded
+  // never materializes its basis, so near-zero is its true cost. A tenant
+  // whose raw windows are encoded in-batch grows its basis AFTER this
+  // charge — that growth is outside the registry budget (see
+  // RegistryConfig::byte_budget), not silently undercounted at load.
   if (snap.encoder != nullptr) {
     bytes += snap.encoder->footprint_bytes();
   }

@@ -20,9 +20,9 @@
 //     reference: a shard worker mid-batch holds its own shared_ptr and
 //     finishes on the model it started with.
 //
-// Each resident tenant is a TenantModel: a per-tenant SnapshotRegistry, so
-// operators can publish a retrained generation for ONE tenant (RCU swap,
-// same semantics as the single-tenant server) without touching the others.
+// Each resident tenant is a TenantModel: its own RCU swap point, so
+// operators can publish a retrained generation for ONE tenant without
+// touching the others.
 // The budget accounts the boot footprint; published generations are assumed
 // footprint-equivalent (same artifact, retrained weights). Note the
 // eviction/publish race: a publish targets the CURRENTLY resident
@@ -31,6 +31,7 @@
 // cost of keeping the hot path lock-free; operators re-publish after a
 // deploy, they do not fire-and-forget across evictions.
 
+#include <atomic>
 #include <cstddef>
 #include <cstdint>
 #include <functional>
@@ -77,23 +78,31 @@ struct RegistryStats {
   std::size_t byte_budget = 0;
 };
 
-/// One resident tenant: its own RCU snapshot chain. Handed out as a
+/// One resident tenant: the swap point between its serving workers and its
+/// publishers (RCU over ModelSnapshot generations). Handed out as a
 /// shared_ptr so in-flight work pins it across eviction.
 class TenantModel {
  public:
+  /// Throws std::invalid_argument when `boot` is null or lacks a model or a
+  /// backend, or carries an encoder whose dimension is not the model's.
   TenantModel(std::string tenant, std::shared_ptr<const ModelSnapshot> boot);
 
   [[nodiscard]] const std::string& tenant() const noexcept { return tenant_; }
 
-  /// The tenant's live snapshot (never null). Lock-free.
+  /// The tenant's live snapshot (never null). Lock-free: one atomic
+  /// shared_ptr load; readers never lock.
   [[nodiscard]] std::shared_ptr<const ModelSnapshot> snapshot() const {
-    return generations_.current();
+    return current_.load(std::memory_order_acquire);
   }
 
-  /// RCU-publish a new generation for this tenant (e.g. a retrain push).
-  /// The snapshot must match the boot dimension (std::invalid_argument
-  /// otherwise); returns false when the live generation is already newer —
-  /// same stale-publisher-loses contract as SnapshotRegistry.
+  /// Atomically replace the live snapshot IF `snap` is a newer generation
+  /// (e.g. a retrain push or an adaptation round). Readers that already
+  /// loaded the old generation finish on it; new loads see the new one.
+  /// Returns false (and installs nothing) when the live version is already
+  /// >= snap->version — a compare-and-swap loop, so two concurrent
+  /// publishers cannot lose the newer one or regress the version. Throws
+  /// std::invalid_argument when `snap` fails the boot checks or does not
+  /// match the boot dimension.
   bool publish(std::shared_ptr<const ModelSnapshot> snap);
 
   [[nodiscard]] std::size_t dim() const noexcept { return dim_; }
@@ -101,7 +110,7 @@ class TenantModel {
  private:
   std::string tenant_;
   std::size_t dim_ = 0;
-  SnapshotRegistry generations_;
+  std::atomic<std::shared_ptr<const ModelSnapshot>> current_;
 };
 
 /// Resident-memory cost of a snapshot: what the registry budget accounts.

@@ -6,17 +6,11 @@
 #include <stdexcept>
 #include <utility>
 
-#include "hdc/hv_matrix.hpp"
 #include "obs/export.hpp"
 
 namespace smore {
 
 namespace {
-double seconds_between(std::chrono::steady_clock::time_point a,
-                       std::chrono::steady_clock::time_point b) {
-  return std::chrono::duration<double>(b - a).count();
-}
-
 /// A future already fulfilled with just a status (late-submit path).
 std::future<ServeResult> ready_status(ServeStatus status) {
   std::promise<ServeResult> p;
@@ -47,15 +41,16 @@ MultiTenantServer::MultiTenantServer(std::shared_ptr<ModelRegistry> registry,
   config_.shard_queue_capacity =
       std::max<std::size_t>(1, config_.shard_queue_capacity);
 
-  shards_.reserve(config_.num_shards);
+  queues_.reserve(config_.num_shards);
   for (std::size_t s = 0; s < config_.num_shards; ++s) {
-    shards_.push_back(std::make_unique<Shard>(config_.shard_queue_capacity));
+    queues_.push_back(
+        std::make_unique<MpmcQueue<Request>>(config_.shard_queue_capacity));
   }
   slot_shards_.resize(kSlotShards);
   for (auto& s : slot_shards_) s = std::make_unique<SlotShard>();
 
   const std::size_t total = config_.num_shards * config_.workers_per_shard;
-  tel_ = std::make_unique<ServeTelemetry>(config_.telemetry, "fleet", total);
+  tel_ = std::make_unique<ServeTelemetry>(config_.telemetry, total);
   tenants_seen_ = tel_->hub().metrics().counter("smore_tenants_seen_total",
                                                 {{"plane", "fleet"}});
   workers_.reserve(total);
@@ -95,19 +90,19 @@ std::shared_ptr<MultiTenantServer::TenantSlot> MultiTenantServer::slot_of(
   return slot;
 }
 
-MultiTenantServer::Shard& MultiTenantServer::shard_of(
+MpmcQueue<MultiTenantServer::Request>& MultiTenantServer::queue_of(
     const std::string& tenant) {
   // Same hash as the slot map, different modulus: one tenant's traffic
   // always lands on one shard, where its micro-batches coalesce.
-  return *shards_[std::hash<std::string>{}(tenant) % shards_.size()];
+  return *queues_[std::hash<std::string>{}(tenant) % queues_.size()];
 }
 
 std::optional<std::future<ServeResult>> MultiTenantServer::do_submit(
-    const std::string& tenant, std::vector<float> hv, bool blocking,
-    ServeStatus* shed_reason) {
+    const std::string& tenant, std::vector<float> hv,
+    std::optional<Window> window, bool blocking, ServeStatus* shed_reason) {
   std::shared_ptr<TenantSlot> slot = slot_of(tenant);
   if (shut_down_.load(std::memory_order_acquire)) {
-    tel_->record_shed(ServeStatus::kShuttingDown, tenant, &slot->tel);
+    tel_->record_shed(ServeStatus::kShuttingDown, tenant, slot->tel);
     if (blocking) return ready_status(ServeStatus::kShuttingDown);
     if (shed_reason != nullptr) *shed_reason = ServeStatus::kShuttingDown;
     return std::nullopt;
@@ -123,7 +118,7 @@ std::optional<std::future<ServeResult>> MultiTenantServer::do_submit(
   if (!blocking && config_.fair && config_.tenant_inflight_quota != 0 &&
       inflight >= config_.tenant_inflight_quota) {
     slot->inflight.fetch_sub(1, std::memory_order_relaxed);
-    tel_->record_shed(ServeStatus::kShedTenantQuota, tenant, &slot->tel);
+    tel_->record_shed(ServeStatus::kShedTenantQuota, tenant, slot->tel);
     if (shed_reason != nullptr) *shed_reason = ServeStatus::kShedTenantQuota;
     return std::nullopt;
   }
@@ -138,10 +133,16 @@ std::optional<std::future<ServeResult>> MultiTenantServer::do_submit(
     slot->inflight.fetch_sub(1, std::memory_order_relaxed);
     // Counters only: the registry emitted the load-failure event (it made
     // the call, it knows the cause).
-    tel_->record_load_failure(&slot->tel);
+    tel_->record_load_failure(slot->tel);
     return ready_error(std::current_exception());
   }
-  if (hv.size() != model->dim()) {
+  if (window.has_value() && model->snapshot()->encoder == nullptr) {
+    slot->inflight.fetch_sub(1, std::memory_order_relaxed);
+    throw std::logic_error(
+        "MultiTenantServer::submit(Window): the snapshot of tenant " + tenant +
+        " carries no encoder");
+  }
+  if (!window.has_value() && hv.size() != model->dim()) {
     slot->inflight.fetch_sub(1, std::memory_order_relaxed);
     throw std::invalid_argument(
         "MultiTenantServer::submit: dimension mismatch for tenant " + tenant);
@@ -151,9 +152,10 @@ std::optional<std::future<ServeResult>> MultiTenantServer::do_submit(
   req.slot = slot;
   req.model = std::move(model);
   req.hv = std::move(hv);
+  req.window = std::move(window);
   req.submit_time = std::chrono::steady_clock::now();
   std::future<ServeResult> fut = req.promise.get_future();
-  Shard& shard = shard_of(tenant);
+  MpmcQueue<Request>& queue = queue_of(tenant);
   // On refusal the queue has already consumed the moved request (promise
   // included) — do not touch `req` or `fut` past this point on those paths.
   // The refusal reason is the queue's own atomic decision (QueuePush), not a
@@ -162,9 +164,9 @@ std::optional<std::future<ServeResult>> MultiTenantServer::do_submit(
   ServeStatus reason = ServeStatus::kShuttingDown;
   if (blocking) {
     // A blocking push only refuses when the queue closed mid-wait.
-    accepted = shard.queue.push(std::move(req));
+    accepted = queue.push(std::move(req));
   } else {
-    switch (shard.queue.try_push(std::move(req))) {
+    switch (queue.try_push(std::move(req))) {
       case QueuePush::kAccepted: accepted = true; break;
       case QueuePush::kFull: reason = ServeStatus::kShedQueueFull; break;
       case QueuePush::kClosed: reason = ServeStatus::kShuttingDown; break;
@@ -173,7 +175,7 @@ std::optional<std::future<ServeResult>> MultiTenantServer::do_submit(
   if (!accepted) {
     slot->inflight.fetch_sub(1, std::memory_order_relaxed);
     tel_->record_shed(blocking ? ServeStatus::kShuttingDown : reason, tenant,
-                      &slot->tel);
+                      slot->tel);
     if (blocking) return ready_status(ServeStatus::kShuttingDown);
     if (shed_reason != nullptr) *shed_reason = reason;
     return std::nullopt;
@@ -185,18 +187,25 @@ std::optional<std::future<ServeResult>> MultiTenantServer::do_submit(
 
 std::future<ServeResult> MultiTenantServer::submit(const std::string& tenant,
                                                    std::vector<float> hv) {
-  return *do_submit(tenant, std::move(hv), /*blocking=*/true, nullptr);
+  return *do_submit(tenant, std::move(hv), std::nullopt, /*blocking=*/true,
+                    nullptr);
+}
+
+std::future<ServeResult> MultiTenantServer::submit(const std::string& tenant,
+                                                   Window window) {
+  return *do_submit(tenant, {}, std::move(window), /*blocking=*/true, nullptr);
 }
 
 std::optional<std::future<ServeResult>> MultiTenantServer::try_submit(
     const std::string& tenant, std::vector<float> hv,
     ServeStatus* shed_reason) {
-  return do_submit(tenant, std::move(hv), /*blocking=*/false, shed_reason);
+  return do_submit(tenant, std::move(hv), std::nullopt, /*blocking=*/false,
+                   shed_reason);
 }
 
 void MultiTenantServer::worker_loop(std::size_t shard_index,
                                     std::size_t worker_index) {
-  Shard& shard = *shards_[shard_index];
+  MpmcQueue<Request>& queue = *queues_[shard_index];
 
   // Worker-local staging: arrivals (any tenant, FIFO off the shard queue)
   // are grouped per tenant here, because a batch cannot mix tenants. The
@@ -220,14 +229,14 @@ void MultiTenantServer::worker_loop(std::size_t shard_index,
       // Idle: block for the first arrival and take whatever queued with it.
       // 0 means closed AND drained — with no pending work left, the shard
       // is fully served.
-      if (shard.queue.pop_batch(incoming, config_.max_batch) == 0) {
+      if (queue.pop_batch(incoming, config_.max_batch) == 0) {
         return;
       }
     } else {
       // Work in hand: top up without sleeping, then keep draining. After
       // close this returns 0 and the loop finishes the pending groups —
       // graceful shutdown fulfills every future across all shards.
-      shard.queue.try_pop_batch(incoming, config_.max_batch);
+      queue.try_pop_batch(incoming, config_.max_batch);
     }
     for (Request& r : incoming) {
       Group& g = groups[r.slot->tenant];
@@ -286,62 +295,67 @@ void MultiTenantServer::process_batch(std::vector<Request>& batch,
   // (RCU read) and pins the model generation for the whole batch.
   const auto snap = batch.front().model->snapshot();
   const std::size_t dim = snap->backend->dim();
-
-  // One tenant's requests can still be pinned to DIFFERENT TenantModel
-  // instances: evict + redeploy with a new dimension while earlier requests
-  // sat queued. Each was validated only against its own pinned model at
-  // submit, so a row may not fit this batch's dim — that is a per-request
-  // error, delivered on its own promise; it must never escape the worker
-  // thread (the process-wide-failure contract this server exists for).
-  std::size_t mismatched = 0;
-  for (const Request& r : batch) mismatched += r.hv.size() != dim ? 1 : 0;
-  if (mismatched != 0) {
-    // Accounting before fulfillment (the invariant of this function): a
-    // submitter whose future resolves must already see its quota released.
-    slot.inflight.fetch_sub(mismatched, std::memory_order_relaxed);
-    tel_->hub().emit(obs::EventType::kShed, slot.tenant, "dim-mismatch",
-                     static_cast<std::int64_t>(mismatched));
-    std::size_t kept = 0;
-    for (std::size_t i = 0; i < batch.size(); ++i) {
-      if (batch[i].hv.size() == dim) {
-        if (kept != i) batch[kept] = std::move(batch[i]);
-        ++kept;
-        continue;
-      }
-      batch[i].promise.set_exception(std::make_exception_ptr(
-          std::invalid_argument("MultiTenantServer: request for tenant " +
-                                slot.tenant +
-                                " was pinned to a model generation with a "
-                                "different dimension than its batch")));
-    }
-    batch.resize(kept);
-    if (batch.empty()) return;
-  }
-  const std::size_t n = batch.size();
   const auto batch_start = std::chrono::steady_clock::now();
+  auto encode_done = batch_start;  // pre-encoded batches: the span reads 0
 
+  HvMatrix queries;
   SmoreBatchResult result;
   try {
     // The matrix fill sits inside the try: any residual bad row fails the
     // BATCH on its requests' promises, never the worker thread.
-    HvMatrix queries(n, dim);
-    for (std::size_t i = 0; i < n; ++i) queries.set_row(i, batch[i].hv);
-    result = snap->backend->predict_batch_full(queries.view());
+    queries = HvMatrix(batch.size(), dim);
+    std::vector<std::exception_ptr> failed;  // per-request errors: rare path
+    std::size_t mismatched = 0;
+    bool has_windows = false;
+    for (std::size_t i = 0; i < batch.size(); ++i) {
+      if (batch[i].window.has_value()) {
+        has_windows = true;  // its row comes from the encoder below
+      } else if (batch[i].hv.size() == dim) {
+        queries.set_row(i, batch[i].hv);
+      } else {
+        // One tenant's requests can still be pinned to DIFFERENT
+        // TenantModel instances: evict + redeploy with a new dimension
+        // while earlier requests sat queued. Each was validated only
+        // against its own pinned model at submit, so a row may not fit this
+        // batch's dim — a per-request error on its own promise; it must
+        // never escape the worker thread.
+        if (failed.empty()) failed.resize(batch.size());
+        failed[i] = std::make_exception_ptr(std::invalid_argument(
+            "MultiTenantServer: request for tenant " + slot.tenant +
+            " was pinned to a model generation with a different dimension "
+            "than its batch"));
+        ++mismatched;
+      }
+    }
+    if (mismatched != 0) {
+      tel_->hub().emit(obs::EventType::kShed, slot.tenant, "dim-mismatch",
+                       static_cast<std::int64_t>(mismatched));
+    }
+    if (has_windows) encode_windows(batch, queries, *snap, slot, failed);
+    if (!failed.empty()) {
+      drop_failed(batch, queries, failed, slot);
+      if (batch.empty()) return;
+    }
+    if (has_windows) encode_done = std::chrono::steady_clock::now();
+    result = snap->backend->predict_batch_full(
+        queries.view().slice(0, batch.size()));
   } catch (...) {
     const std::exception_ptr error = std::current_exception();
-    slot.inflight.fetch_sub(n, std::memory_order_relaxed);
+    slot.inflight.fetch_sub(batch.size(), std::memory_order_relaxed);
     for (Request& req : batch) req.promise.set_exception(error);
     return;
   }
 
+  const std::size_t n = batch.size();
   const std::size_t k = result.num_domains;
   const auto predict_done = std::chrono::steady_clock::now();
 
   if (config_.adaptation && k > 0) {
     // Feed this tenant's lifecycle: OOD rows into its bounded side buffer
-    // (the encoded hv is moved — the kernel consumed it above), and one unit
-    // of usage credit to each request's best-matching domain so decay/evict
-    // rank domains by what this tenant's traffic actually exercises.
+    // (a pre-encoded hv is moved — the kernel consumed it above; a window
+    // request's encoded row is copied), and one unit of usage credit to each
+    // request's best-matching domain so decay/evict rank domains by what
+    // this tenant's traffic actually exercises.
     std::vector<double> pos_usage(k, 0.0);
     for (std::size_t i = 0; i < n; ++i) {
       const double* w = result.weights.data() + i * k;
@@ -365,19 +379,20 @@ void MultiTenantServer::process_batch(std::vector<Request>& batch,
           ++overflow;
           continue;
         }
+        const auto row = queries.row(i);
         slot.ood_buffer.push_back(
-            OodSample{std::move(batch[i].hv), result.labels[i]});
+            OodSample{batch[i].window.has_value()
+                          ? std::vector<float>(row.begin(), row.end())
+                          : std::move(batch[i].hv),
+                      result.labels[i]});
       }
       ready = slot.ood_buffer.size() >= config_.adapt_min_batch;
     }
     if (overflow != 0) {
-      slot.tel.adapt_overflow->add(overflow);
-      slot.tel.adapt_dropped->add(overflow);
       tel_->adapt_overflow->add(overflow);
-      tel_->adapt_dropped->add(overflow);
-      tel_->hub().emit(obs::EventType::kAdaptationShed, slot.tenant,
-                       "buffer-overflow",
-                       static_cast<std::int64_t>(overflow));
+      slot.tel.adapt_overflow->add(overflow);
+      tel_->record_adaptation_shed("buffer-overflow", slot.tenant, slot.tel,
+                                   overflow);
     }
     if (ready) adapt_cv_.notify_one();
   }
@@ -387,16 +402,16 @@ void MultiTenantServer::process_batch(std::vector<Request>& batch,
   // fulfilled: a submitter that returns from get() and immediately reads
   // stats()/tenant_stats() must see its own request counted, its quota
   // reservation released, and its latency recorded. record_batch is the ONE
-  // shared implementation of that invariant (counters, per-tenant
-  // histograms, trace spans) for both serving planes.
+  // implementation of that invariant (counters, per-tenant histograms, trace
+  // spans cut from these four timestamps).
   std::vector<std::chrono::steady_clock::time_point> submit_times;
   submit_times.reserve(n);
   for (const Request& req : batch) submit_times.push_back(req.submit_time);
   tel_->record_batch(
-      {batch_start, /*encode_done=*/batch_start, predict_done, now},
-      submit_times, result.ood, result.labels, snap->version,
+      {batch_start, encode_done, predict_done, now}, submit_times, result.ood,
+      result.labels, snap->version,
       static_cast<std::uint32_t>(worker_index / config_.workers_per_shard),
-      slot.tenant, &slot.tel);
+      slot.tenant, slot.tel);
   slot.inflight.fetch_sub(n, std::memory_order_relaxed);
 
   for (std::size_t i = 0; i < n; ++i) {
@@ -408,10 +423,76 @@ void MultiTenantServer::process_batch(std::vector<Request>& batch,
     r.weights.assign(
         result.weights.begin() + static_cast<std::ptrdiff_t>(i * k),
         result.weights.begin() + static_cast<std::ptrdiff_t>((i + 1) * k));
-    r.latency_seconds = seconds_between(batch[i].submit_time, now);
+    r.latency_seconds =
+        std::chrono::duration<double>(now - batch[i].submit_time).count();
     r.snapshot_version = snap->version;
     batch[i].promise.set_value(std::move(r));
   }
+}
+
+void MultiTenantServer::encode_windows(
+    std::vector<Request>& batch, HvMatrix& queries, const ModelSnapshot& snap,
+    const TenantSlot& slot, std::vector<std::exception_ptr>& failed) const {
+  // Group windows by shape and encode each group with ONE encode_batch —
+  // the point of coalescing. Grouping (rather than one dataset for all)
+  // keeps requests independent: a window the encoder rejects fails only its
+  // own shape group, never a batch-mate.
+  std::map<std::pair<std::size_t, std::size_t>, std::vector<std::size_t>>
+      groups;  // (channels, steps) -> batch rows
+  for (std::size_t i = 0; i < batch.size(); ++i) {
+    if (batch[i].window.has_value()) {
+      groups[{batch[i].window->channels(), batch[i].window->steps()}]
+          .push_back(i);
+    }
+  }
+  // The fleet's only worker owns the whole machine and encodes with the
+  // pool; with several workers each stays serial on the encode, so
+  // concurrent batches do not convoy on the shared global pool (the predict
+  // kernels parallelize internally either way).
+  const bool parallel = config_.num_shards * config_.workers_per_shard == 1;
+  for (const auto& [shape, rows] : groups) {
+    try {
+      if (snap.encoder == nullptr) {
+        throw std::logic_error("MultiTenantServer: the snapshot of tenant " +
+                               slot.tenant + " carries no encoder");
+      }
+      WindowDataset windows("serve", shape.first, shape.second);
+      for (const std::size_t i : rows) windows.add(std::move(*batch[i].window));
+      HvMatrix encoded;
+      snap.encoder->encode_batch(windows, encoded, parallel);
+      for (std::size_t j = 0; j < rows.size(); ++j) {
+        queries.set_row(rows[j], encoded.row(j));
+      }
+    } catch (...) {
+      if (failed.empty()) failed.resize(batch.size());
+      for (const std::size_t i : rows) failed[i] = std::current_exception();
+    }
+  }
+}
+
+void MultiTenantServer::drop_failed(
+    std::vector<Request>& batch, HvMatrix& queries,
+    const std::vector<std::exception_ptr>& failed, TenantSlot& slot) {
+  // Accounting before fulfillment (the invariant of process_batch): a
+  // submitter whose future resolves must already see its quota released.
+  const auto count = std::count_if(failed.begin(), failed.end(),
+                                   [](const auto& e) { return e != nullptr; });
+  slot.inflight.fetch_sub(static_cast<std::uint64_t>(count),
+                          std::memory_order_relaxed);
+  std::size_t kept = 0;
+  for (std::size_t i = 0; i < batch.size(); ++i) {
+    if (failed[i] != nullptr) {
+      batch[i].promise.set_exception(failed[i]);
+      continue;
+    }
+    if (kept != i) {
+      const auto row = queries.row(i);
+      std::copy(row.begin(), row.end(), queries.row(kept).begin());
+      batch[kept] = std::move(batch[i]);
+    }
+    ++kept;
+  }
+  batch.resize(kept);
 }
 
 std::vector<std::shared_ptr<MultiTenantServer::TenantSlot>>
@@ -467,10 +548,8 @@ void MultiTenantServer::adaptation_loop() {
       slot->usage.clear();
     }
     if (remaining != 0) {
-      slot->tel.adapt_dropped->add(remaining);
-      tel_->adapt_dropped->add(remaining);
-      tel_->hub().emit(obs::EventType::kAdaptationShed, slot->tenant,
-                       "shutdown", static_cast<std::int64_t>(remaining));
+      tel_->record_adaptation_shed("shutdown", slot->tenant, slot->tel,
+                                   remaining);
     }
   }
 }
@@ -505,10 +584,8 @@ void MultiTenantServer::run_tenant_round(
   if (tm == nullptr) {
     // Cold tenant: adaptation never pays an artifact reload for a tenant
     // whose traffic no longer keeps it resident. The round is shed.
-    slot.tel.adapt_dropped->add(round.size());
-    tel_->adapt_dropped->add(round.size());
-    tel_->hub().emit(obs::EventType::kAdaptationShed, slot.tenant,
-                     "cold-tenant", static_cast<std::int64_t>(round.size()));
+    tel_->record_adaptation_shed("cold-tenant", slot.tenant, slot.tel,
+                                 round.size());
     return;
   }
   const auto snap = tm->snapshot();
@@ -516,66 +593,39 @@ void MultiTenantServer::run_tenant_round(
   // the current dimension; they are shed per-row, same as mismatched
   // requests in process_batch — never an exception out of this thread.
   const std::size_t dim = snap->backend->dim();
-  std::size_t kept = 0;
-  for (auto& s : round) {
-    if (s.hv.size() == dim) {
-      if (kept != static_cast<std::size_t>(&s - round.data())) {
-        round[kept] = std::move(s);
-      }
-      ++kept;
-    }
-  }
-  const std::size_t mismatched = round.size() - kept;
-  round.resize(kept);
+  const std::size_t mismatched = std::erase_if(
+      round, [dim](const OodSample& s) { return s.hv.size() != dim; });
   if (mismatched != 0) {
-    slot.tel.adapt_dropped->add(mismatched);
-    tel_->adapt_dropped->add(mismatched);
-    tel_->hub().emit(obs::EventType::kAdaptationShed, slot.tenant,
-                     "dim-mismatch", static_cast<std::int64_t>(mismatched));
+    tel_->record_adaptation_shed("dim-mismatch", slot.tenant, slot.tel,
+                                 mismatched);
   }
   if (round.empty()) return;
   try {
     const AdaptationOutcome out = run_lifecycle_round(
         *snap, round, usage, config_.lifecycle_config, snap->version + 1);
-    const std::uint64_t version = out.next != nullptr ? out.next->version : 0;
     if (out.next != nullptr && tm->publish(out.next)) {
-      slot.tel.adapt_rounds->add(1);
-      slot.tel.adapt_absorbed->add(out.lifecycle.absorbed);
-      slot.tel.adapt_merged->add(out.lifecycle.merged);
-      slot.tel.adapt_evicted->add(out.lifecycle.evicted);
-      tel_->adapt_rounds->add(1);
-      tel_->adapt_absorbed->add(out.lifecycle.absorbed);
-      tel_->adapt_merged->add(out.lifecycle.merged);
-      tel_->adapt_evicted->add(out.lifecycle.evicted);
-      // Events only for the generation that actually went live: one publish
-      // (this plane published, so this plane reports it) plus one lifecycle
-      // event per merged/enrolled/evicted domain of the round.
-      tel_->hub().emit(obs::EventType::kSnapshotPublish, slot.tenant,
-                       "adaptation", static_cast<std::int64_t>(version));
-      emit_lifecycle_events(tel_->hub(), slot.tenant, out.lifecycle);
+      // Events only for the generation that actually went live (this plane
+      // published, so this plane reports it).
+      tel_->record_adaptation_round(slot.tenant, slot.tel, out.next->version,
+                                    out.lifecycle);
     } else {
       // Lost the publish race (or the tenant republished concurrently):
       // stale-publisher-loses, the round is shed.
-      slot.tel.adapt_dropped->add(round.size());
-      tel_->adapt_dropped->add(round.size());
-      tel_->hub().emit(obs::EventType::kAdaptationShed, slot.tenant,
-                       "publish-race",
-                       static_cast<std::int64_t>(round.size()));
+      tel_->record_adaptation_shed("publish-race", slot.tenant, slot.tel,
+                                   round.size());
     }
   } catch (...) {
     // A lifecycle failure is this tenant's loss, never the fleet worker's:
     // the thread survives, the round is counted shed.
-    slot.tel.adapt_dropped->add(round.size());
-    tel_->adapt_dropped->add(round.size());
-    tel_->hub().emit(obs::EventType::kAdaptationShed, slot.tenant,
-                     "round-failed", static_cast<std::int64_t>(round.size()));
+    tel_->record_adaptation_shed("round-failed", slot.tenant, slot.tel,
+                                 round.size());
   }
 }
 
 void MultiTenantServer::shutdown() {
   std::call_once(shutdown_once_, [this] {
     shut_down_.store(true, std::memory_order_release);
-    for (auto& shard : shards_) shard->queue.close();
+    for (auto& queue : queues_) queue->close();
     for (auto& w : workers_) w.join();
     if (adaptation_thread_.joinable()) {
       {

@@ -1,10 +1,12 @@
 #pragma once
-// MultiTenantServer: tenant routing, per-shard worker groups, and fair
-// admission control over the ModelRegistry (DESIGN.md §12).
+// MultiTenantServer: the serving plane — tenant routing, per-shard worker
+// groups, and fair admission control over the ModelRegistry (DESIGN.md §9,
+// §12).
 //
-// The single-tenant InferenceServer (serve/server.hpp) scales one model to
-// many clients. A fleet inverts the problem: many tenants, each with its own
-// model, sharing one machine. Three mechanisms make that safe:
+// This is the ONE serving plane. A single-model deployment is a fleet of one
+// tenant: InferenceServer (serve/server.hpp) is a thin façade that boots a
+// one-tenant registry and forwards to this class. Many tenants, each with its
+// own model, share one machine; three mechanisms make that safe:
 //
 //   * tenant → shard routing — a request is hashed by tenant id onto one of
 //     `num_shards` shards. A shard is a thread slice that owns its own
@@ -14,11 +16,11 @@
 //   * per-tenant micro-batches — batches cannot mix tenants (each tenant has
 //     its own model), so shard workers stage arrivals into per-tenant
 //     pending groups and run ONE predict_batch_full per tenant-batch against
-//     that tenant's pinned snapshot. Formation is work-conserving, as on the
-//     single-tenant plane: an idle worker blocks for the first arrival and
-//     takes whatever queued with it, a busy one tops up without sleeping,
-//     and nothing waits for stragglers. The batch pins the TenantModel: a
-//     registry eviction mid-batch cannot free the model under the kernel;
+//     that tenant's pinned snapshot. Formation is work-conserving: an idle
+//     worker blocks for the first arrival and takes whatever queued with it,
+//     a busy one tops up without sleeping, and nothing waits for stragglers.
+//     The batch pins the TenantModel: a registry eviction mid-batch cannot
+//     free the model under the kernel;
 //   * tenant-fair admission + drain — with `fair` set, try_submit enforces a
 //     per-tenant in-flight quota (admission control: a Zipf-head tenant that
 //     floods the shard is shed with kShedTenantQuota while the tail is still
@@ -34,20 +36,22 @@
 // fails THE REQUESTS that needed it — the returned future carries the
 // loader's exception, per-request, never process-wide.
 //
-// Requests are pre-encoded hypervectors: in a fleet the encoder is
-// tenant-specific state that travels inside the artifact, and per-tenant
-// in-batch encoding stays deferred. Per-tenant adaptation (ROADMAP item 3)
-// is served here: turn on MultiTenantConfig::adaptation and each tenant's
-// OOD traffic drives its own bounded domain lifecycle (DESIGN.md §13) —
-// flat per-tenant memory no matter how long its drift history runs.
-// Shutdown is graceful and total: queues close, workers
-// drain every pending group across all shards, every future is fulfilled,
-// and late submits resolve immediately with kShuttingDown.
+// A request is a pre-encoded hypervector or a raw Window. Windows are
+// encoded inside the batch with the encoder carried by the tenant's pinned
+// snapshot (the encoder travels inside the artifact): one encode_batch per
+// window shape, so the per-window basis setup amortizes across the batch.
+// With MultiTenantConfig::adaptation on, each tenant's OOD traffic drives
+// its own bounded domain lifecycle (DESIGN.md §13) — flat per-tenant memory
+// no matter how long its drift history runs. Shutdown is graceful and
+// total: queues close, workers drain every pending group across all shards,
+// every future is fulfilled, and late submits resolve immediately with
+// kShuttingDown.
 
 #include <atomic>
 #include <chrono>
 #include <cstddef>
 #include <cstdint>
+#include <exception>
 #include <future>
 #include <map>
 #include <memory>
@@ -61,9 +65,12 @@
 #include <vector>
 
 #include "core/domain_lifecycle.hpp"
+#include "data/timeseries.hpp"
+#include "hdc/hv_matrix.hpp"
 #include "serve/adaptation.hpp"
 #include "serve/registry.hpp"
-#include "serve/server.hpp"
+#include "serve/status.hpp"
+#include "serve/telemetry.hpp"
 #include "util/annotations.hpp"
 #include "util/latency.hpp"
 #include "util/mpmc_queue.hpp"
@@ -71,9 +78,9 @@
 
 namespace smore {
 
-/// Fleet-serving knobs. max_batch means the same as in ServerConfig
-/// (batches are work-conserving, never timed); the new surface is the shard
-/// layout and the fairness policy.
+/// Fleet-serving knobs. max_batch caps how much queued work one kernel pass
+/// fuses (batches are work-conserving, never timed); the rest is the shard
+/// layout, the fairness policy, and the adaptation worker.
 struct MultiTenantConfig {
   std::size_t num_shards = 1;        ///< independent queue+worker slices
   std::size_t workers_per_shard = 1; ///< batching workers per shard
@@ -86,11 +93,11 @@ struct MultiTenantConfig {
   /// bypasses the quota — backpressure already slows that producer down.
   std::size_t tenant_inflight_quota = 256;
 
-  /// Per-tenant online adaptation (ROADMAP item 3): shard
-  /// workers feed each tenant's OOD traffic into that tenant's own bounded
-  /// side buffer, and ONE shared adaptation worker sweeps ready tenants,
-  /// runs a bounded lifecycle round (DESIGN.md §13) on the tenant's clone,
-  /// and republishes that tenant's generation. Always lifecycle-bounded:
+  /// Per-tenant online adaptation: shard workers feed each tenant's OOD
+  /// traffic into that tenant's own bounded side buffer, and ONE shared
+  /// adaptation worker sweeps ready tenants, runs a bounded lifecycle round
+  /// (DESIGN.md §13) on the tenant's clone, and republishes that tenant's
+  /// generation. Always lifecycle-bounded:
   /// a fleet tenant's model size is a function of lifecycle_config, never
   /// of its traffic history. Cold (evicted) tenants are never reloaded just
   /// to adapt them — their buffered rounds are shed and counted.
@@ -186,6 +193,12 @@ class MultiTenantServer {
   std::future<ServeResult> submit(const std::string& tenant,
                                   std::vector<float> hv);
 
+  /// Submit one raw multi-sensor window for `tenant`, encoded inside the
+  /// micro-batch by the encoder of the tenant's snapshot (one encode_batch
+  /// per window shape, not per request). Throws std::logic_error when the
+  /// tenant's snapshot carries no encoder; otherwise as submit(hv).
+  std::future<ServeResult> submit(const std::string& tenant, Window window);
+
   /// Non-blocking submit: sheds instead of waiting. std::nullopt on a full
   /// shard queue (kShedQueueFull), an exhausted tenant quota
   /// (kShedTenantQuota, fair mode), or after shutdown (kShuttingDown) —
@@ -243,25 +256,34 @@ class MultiTenantServer {
   struct Request {
     std::shared_ptr<TenantSlot> slot;
     std::shared_ptr<TenantModel> model;  // pinned: eviction-safe
-    std::vector<float> hv;
+    std::vector<float> hv;         // encoded query (empty when window set)
+    std::optional<Window> window;  // raw window, encoded in-batch
     std::promise<ServeResult> promise;
     std::chrono::steady_clock::time_point submit_time;
   };
 
-  struct Shard {
-    explicit Shard(std::size_t capacity) : queue(capacity) {}
-    MpmcQueue<Request> queue;
-  };
-
   std::shared_ptr<TenantSlot> slot_of(const std::string& tenant);
-  Shard& shard_of(const std::string& tenant);
-  std::optional<std::future<ServeResult>> do_submit(const std::string& tenant,
-                                                    std::vector<float> hv,
-                                                    bool blocking,
-                                                    ServeStatus* shed_reason);
+  /// The tenant's shard queue (its traffic always lands on one shard).
+  MpmcQueue<Request>& queue_of(const std::string& tenant);
+  /// Shared submit path: admission, model pin, enqueue. Exactly one of `hv`
+  /// (non-empty) and `window` carries the query.
+  std::optional<std::future<ServeResult>> do_submit(
+      const std::string& tenant, std::vector<float> hv,
+      std::optional<Window> window, bool blocking, ServeStatus* shed_reason);
   void worker_loop(std::size_t shard_index, std::size_t worker_index);
-  /// Run one single-tenant micro-batch end to end.
+  /// Run one tenant's micro-batch end to end.
   void process_batch(std::vector<Request>& batch, std::size_t worker_index);
+  /// Encode the batch's window requests into their rows of `queries`. A
+  /// shape group the encoder rejects marks only its own requests in
+  /// `failed` (sized to the batch on first use).
+  void encode_windows(std::vector<Request>& batch, HvMatrix& queries,
+                      const ModelSnapshot& snap, const TenantSlot& slot,
+                      std::vector<std::exception_ptr>& failed) const;
+  /// Fail the requests marked in `failed` on their own promises and compact
+  /// the survivors, with their rows of `queries`, to the front.
+  void drop_failed(std::vector<Request>& batch, HvMatrix& queries,
+                   const std::vector<std::exception_ptr>& failed,
+                   TenantSlot& slot);
   /// The shared per-tenant adaptation sweep (one thread for the fleet).
   void adaptation_loop();
   /// Periodic JSON snapshot writer (spawned when export_path is set).
@@ -274,7 +296,7 @@ class MultiTenantServer {
 
   MultiTenantConfig config_;
   std::shared_ptr<ModelRegistry> registry_;
-  std::vector<std::unique_ptr<Shard>> shards_;
+  std::vector<std::unique_ptr<MpmcQueue<Request>>> queues_;  // per shard
   std::vector<std::thread> workers_;
   std::thread adaptation_thread_;
   Mutex adapt_wake_m_;

@@ -71,35 +71,9 @@ std::shared_ptr<const ModelSnapshot> ModelSnapshot::next_generation(
   return snap;
 }
 
-std::shared_ptr<const ModelSnapshot> ModelSnapshot::from_stream(
-    std::istream& in, bool quantize, std::uint64_t version) {
-  return make(SmoreModel::load(in), quantize, version);
-}
-
 std::shared_ptr<const ModelSnapshot> ModelSnapshot::from_artifact(
     std::istream& in, std::uint64_t version) {
   return make(Pipeline::load(in), version);
-}
-
-bool SnapshotRegistry::publish(std::shared_ptr<const ModelSnapshot> snap) {
-  if (snap == nullptr) {
-    throw std::invalid_argument("SnapshotRegistry::publish: null snapshot");
-  }
-  // CAS loop: the version check and the swap must be one atomic step, or a
-  // slow publisher (e.g. an adaptation round built off generation N) could
-  // overwrite a newer generation installed meanwhile by another publisher.
-  auto expected = current_.load(std::memory_order_acquire);
-  for (;;) {
-    if (expected != nullptr && snap->version <= expected->version) {
-      return false;  // stale publisher loses; the newer generation stays
-    }
-    if (current_.compare_exchange_weak(expected, snap,
-                                       std::memory_order_acq_rel,
-                                       std::memory_order_acquire)) {
-      publishes_.fetch_add(1, std::memory_order_relaxed);
-      return true;
-    }
-  }
 }
 
 }  // namespace smore

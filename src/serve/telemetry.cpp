@@ -23,16 +23,15 @@ std::uint64_t ns_between(std::chrono::steady_clock::time_point a,
 }  // namespace
 
 ServeTelemetry::ServeTelemetry(std::shared_ptr<obs::Telemetry> hub,
-                               std::string plane, std::size_t worker_stripes)
-    : hub_(hub != nullptr ? std::move(hub) : obs::Telemetry::make()),
-      plane_(std::move(plane)) {
+                               std::size_t worker_stripes)
+    : hub_(hub != nullptr ? std::move(hub) : obs::Telemetry::make()) {
   obs::MetricsRegistry& m = hub_->metrics();
-  const obs::Labels p{{"plane", plane_}};
+  const obs::Labels p{{"plane", "fleet"}};
   submitted = m.counter("smore_requests_submitted_total", p);
   rejected = m.counter("smore_requests_rejected_total", p);
   const auto shed = [&](const char* reason) {
     return m.counter("smore_requests_shed_total",
-                     {{"plane", plane_}, {"reason", reason}});
+                     {{"plane", "fleet"}, {"reason", reason}});
   };
   shed_queue_full = shed("queue-full");
   shed_quota = shed("tenant-quota");
@@ -54,7 +53,7 @@ ServeTelemetry::ServeTelemetry(std::shared_ptr<obs::Telemetry> hub,
   // "backend/kernel tier" fleet dimension, constant 1 with the tier as a
   // label (the Prometheus info-metric idiom).
   m.gauge("smore_kernel_tier_info",
-          {{"plane", plane_},
+          {{"plane", "fleet"},
            {"tier", kern::tier_name(kern::dispatch().tier)}})
       ->set(1.0);
 }
@@ -84,25 +83,60 @@ TenantTelemetry ServeTelemetry::tenant(const std::string& name) {
 }
 
 void ServeTelemetry::record_shed(ServeStatus reason, std::string_view scope,
-                                 const TenantTelemetry* tenant) {
+                                 const TenantTelemetry& tenant) {
   rejected->add(1);
   switch (reason) {
     case ServeStatus::kShedQueueFull:
       shed_queue_full->add(1);
-      if (tenant != nullptr) tenant->shed_queue->add(1);
+      tenant.shed_queue->add(1);
       break;
     case ServeStatus::kShedTenantQuota:
       shed_quota->add(1);
-      if (tenant != nullptr) tenant->shed_quota->add(1);
+      tenant.shed_quota->add(1);
       break;
     default: shed_shutdown->add(1); break;
   }
   hub_->emit(obs::EventType::kShed, scope, to_string(reason));
 }
 
-void ServeTelemetry::record_load_failure(const TenantTelemetry* tenant) {
+void ServeTelemetry::record_load_failure(const TenantTelemetry& tenant) {
   load_failures->add(1);
-  if (tenant != nullptr) tenant->load_failures->add(1);
+  tenant.load_failures->add(1);
+}
+
+void ServeTelemetry::record_adaptation_shed(std::string_view reason,
+                                            std::string_view scope,
+                                            const TenantTelemetry& tenant,
+                                            std::uint64_t n) {
+  adapt_dropped->add(n);
+  tenant.adapt_dropped->add(n);
+  hub_->emit(obs::EventType::kAdaptationShed, scope, reason,
+             static_cast<std::int64_t>(n));
+}
+
+void ServeTelemetry::record_adaptation_round(std::string_view scope,
+                                             const TenantTelemetry& tenant,
+                                             std::uint64_t version,
+                                             const LifecycleRoundStats& round) {
+  adapt_rounds->add(1);
+  tenant.adapt_rounds->add(1);
+  adapt_absorbed->add(round.absorbed);
+  tenant.adapt_absorbed->add(round.absorbed);
+  adapt_merged->add(round.merged);
+  tenant.adapt_merged->add(round.merged);
+  adapt_evicted->add(round.evicted);
+  tenant.adapt_evicted->add(round.evicted);
+  hub_->emit(obs::EventType::kSnapshotPublish, scope, "adaptation",
+             static_cast<std::int64_t>(version));
+  for (const int id : round.merged_ids) {
+    hub_->emit(obs::EventType::kLifecycleMerge, scope, "centroid-match", id);
+  }
+  for (const int id : round.enrolled_ids) {
+    hub_->emit(obs::EventType::kLifecycleEnroll, scope, "novel-cluster", id);
+  }
+  for (const int id : round.evicted_ids) {
+    hub_->emit(obs::EventType::kLifecycleEvict, scope, "domain-cap", id);
+  }
 }
 
 void ServeTelemetry::record_batch(
@@ -110,7 +144,7 @@ void ServeTelemetry::record_batch(
     std::span<const std::chrono::steady_clock::time_point> submit_times,
     std::span<const std::uint8_t> ood_flags, std::span<const int> labels,
     std::uint64_t snapshot_version, std::uint32_t shard,
-    std::string_view tenant_name, const TenantTelemetry* tenant) {
+    std::string_view tenant_name, const TenantTelemetry& tenant) {
   const std::size_t n = submit_times.size();
   batches->add(1);
   batched_rows->add(n);
@@ -118,10 +152,8 @@ void ServeTelemetry::record_batch(
   std::uint64_t flagged = 0;
   for (const std::uint8_t f : ood_flags) flagged += f != 0 ? 1 : 0;
   if (flagged != 0) ood_flagged->add(flagged);
-  if (tenant != nullptr) {
-    tenant->completed->add(n);
-    if (flagged != 0) tenant->ood->add(flagged);
-  }
+  tenant.completed->add(n);
+  if (flagged != 0) tenant.ood->add(flagged);
 
   const bool hists = hub_->histograms_on();
   const bool traces = hub_->traces_on();
@@ -131,11 +163,9 @@ void ServeTelemetry::record_batch(
     if (hists) {
       const double queue_s = seconds_between(submit_times[i], t.batch_start);
       latency->record(queue_s + service_s);
-      if (tenant != nullptr) {
-        tenant->queue_wait->record(queue_s);
-        tenant->service->record(service_s);
-        tenant->latency->record(queue_s + service_s);
-      }
+      tenant.queue_wait->record(queue_s);
+      tenant.service->record(service_s);
+      tenant.latency->record(queue_s + service_s);
     }
     if (traces) {
       obs::TraceSpan span;

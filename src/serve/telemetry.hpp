@@ -1,20 +1,19 @@
 #pragma once
-// ServeTelemetry: the serving planes' shared metric vocabulary and the ONE
+// ServeTelemetry: the serving plane's metric vocabulary and its ONE
 // accounting-before-fulfillment implementation (DESIGN.md §14).
 //
-// Both process_batch sites (serve/server.cpp, serve/router.cpp) used to
-// carry their own copy of the same delicate counter-ordering block: all
-// externally observable accounting must land BEFORE any promise is
+// All externally observable accounting must land BEFORE any promise is
 // fulfilled, so a submitter that returns from get() and immediately reads
-// stats() sees its own request counted. That block now lives here once, as
+// stats() sees its own request counted. That block lives here once, as
 // record_batch(), which also cuts the per-request trace spans from the same
 // four timestamps (so queue+encode+predict+fulfill == total exactly) and
-// feeds the latency histograms.
+// feeds the latency histograms. MultiTenantServer (serve/router.hpp) is the
+// only caller; the one-tenant InferenceServer façade reports through it.
 //
 // Metric handles are created once at construction / slot creation — the hot
 // path never touches the registry map. Counters are always on (they back the
-// legacy stats structs); histogram and trace recording honor the hub's
-// switches, which is the axis bench_telemetry_overhead measures.
+// stats structs); histogram and trace recording honor the hub's switches,
+// which is the axis bench_telemetry_overhead measures.
 
 #include <chrono>
 #include <cstdint>
@@ -23,6 +22,7 @@
 #include <string>
 #include <string_view>
 
+#include "core/domain_lifecycle.hpp"
 #include "obs/telemetry.hpp"
 #include "serve/status.hpp"
 
@@ -48,39 +48,53 @@ struct TenantTelemetry {
   obs::Histogram* latency = nullptr;     ///< submit → fulfill
 };
 
-/// One serving plane's handle bundle over an obs::Telemetry hub. `plane`
-/// labels every plane-level series ("server" or "fleet"), so a hub shared
-/// between planes exports without collisions. A null hub means "private
-/// hub": stats views always work and unit tests never collide on names.
+/// The serving plane's handle bundle over an obs::Telemetry hub. Every
+/// plane-level series carries the label {plane="fleet"}; per-tenant series
+/// carry {tenant=...} (tenant "" for an InferenceServer). A null hub means
+/// "private hub": stats views always work and unit tests never collide on
+/// names.
 class ServeTelemetry {
  public:
-  ServeTelemetry(std::shared_ptr<obs::Telemetry> hub, std::string plane,
+  ServeTelemetry(std::shared_ptr<obs::Telemetry> hub,
                  std::size_t worker_stripes);
 
   [[nodiscard]] obs::Telemetry& hub() noexcept { return *hub_; }
-  [[nodiscard]] const obs::Telemetry& hub() const noexcept { return *hub_; }
   [[nodiscard]] const std::shared_ptr<obs::Telemetry>& hub_ptr()
       const noexcept {
     return hub_;
   }
-  [[nodiscard]] const std::string& plane() const noexcept { return plane_; }
 
   /// Get-or-create the {tenant=name} handle bundle (call at slot creation,
   /// not per request — registration takes the registry mutex).
   [[nodiscard]] TenantTelemetry tenant(const std::string& name);
 
   /// One refusal: plane rejected + per-reason shed counter, the tenant's
-  /// mirror counters when given, and exactly one kShed event carrying the
-  /// reason. `scope` is the tenant (fleet plane) or the plane name.
+  /// mirror counters, and exactly one kShed event carrying the reason,
+  /// scoped to `scope` (the tenant).
   void record_shed(ServeStatus reason, std::string_view scope,
-                   const TenantTelemetry* tenant = nullptr);
+                   const TenantTelemetry& tenant);
 
   /// One admitted request whose artifact load failed (counters only — the
   /// registry emits the load-failure event; it made the call).
-  void record_load_failure(const TenantTelemetry* tenant);
+  void record_load_failure(const TenantTelemetry& tenant);
 
-  /// The four batch phase boundaries. `encode_done == batch_start` on planes
-  /// that take pre-encoded queries (the encode span reads 0).
+  /// `n` buffered OOD windows that will never reach a lifecycle round:
+  /// plane + tenant dropped counters and exactly one kAdaptationShed event
+  /// carrying the reason.
+  void record_adaptation_shed(std::string_view reason, std::string_view scope,
+                              const TenantTelemetry& tenant, std::uint64_t n);
+
+  /// One PUBLISHED lifecycle round — call only after the publish CAS won, so
+  /// the event log never claims changes a lost race threw away: plane +
+  /// tenant round counters, one kSnapshotPublish event for `version`, and
+  /// one lifecycle event per merged / enrolled / evicted domain.
+  void record_adaptation_round(std::string_view scope,
+                               const TenantTelemetry& tenant,
+                               std::uint64_t version,
+                               const LifecycleRoundStats& round);
+
+  /// The four batch phase boundaries. `encode_done == batch_start` for a
+  /// batch of pre-encoded queries (the encode span reads 0).
   struct BatchTimes {
     std::chrono::steady_clock::time_point batch_start;
     std::chrono::steady_clock::time_point encode_done;
@@ -100,10 +114,10 @@ class ServeTelemetry {
                     std::span<const int> labels,
                     std::uint64_t snapshot_version, std::uint32_t shard,
                     std::string_view tenant_name,
-                    const TenantTelemetry* tenant);
+                    const TenantTelemetry& tenant);
 
-  // Plane-level handles ({plane=...} label), public by design: the servers
-  // bump adaptation/drop counters at their own decision points.
+  // Plane-level handles ({plane="fleet"}), public so stats() can read them
+  // back.
   obs::Counter* submitted = nullptr;
   obs::Counter* rejected = nullptr;  ///< all refusals (every shed reason)
   obs::Counter* shed_queue_full = nullptr;
@@ -124,7 +138,6 @@ class ServeTelemetry {
 
  private:
   std::shared_ptr<obs::Telemetry> hub_;
-  std::string plane_;
 };
 
 }  // namespace smore

@@ -339,12 +339,11 @@ TEST(DomainLifecycleServe, ServerKeepsTheBankBoundedUnderConcurrentLoad) {
   cfg.max_batch = 8;
   cfg.num_workers = 2;
   cfg.adaptation = true;
-  cfg.lifecycle = true;
   cfg.adapt_min_batch = 8;
   cfg.adapt_poll_ms = 1;
   cfg.lifecycle_config.max_domains = 4;
   cfg.lifecycle_config.cluster.max_clusters = 2;
-  InferenceServer server(snap, nullptr, cfg);
+  InferenceServer server(snap, cfg);
 
   // Three producers: two stream in-distribution rows, one streams pure
   // noise (OOD) that keeps the lifecycle enrolling and evicting.

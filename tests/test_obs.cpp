@@ -14,6 +14,7 @@
 #include <memory>
 #include <sstream>
 #include <string>
+#include <string_view>
 #include <thread>
 #include <vector>
 
@@ -300,6 +301,15 @@ TEST(Tracer, RingWrapKeepsSlowTail) {
   }
 }
 
+TEST(Tracer, SetTenantAcceptsAnEmptyView) {
+  // A default string_view has a null data(); copying zero bytes from it
+  // must not reach memcpy (undefined behaviour, caught by UBSan).
+  obs::TraceSpan span;
+  span.set_tenant("alpha");
+  span.set_tenant(std::string_view{});
+  EXPECT_STREQ(span.tenant, "");
+}
+
 TEST(EventLog, BoundedRingKeepsMostRecent) {
   obs::EventLog log(8);
   for (int i = 0; i < 20; ++i) {
@@ -365,13 +375,13 @@ TEST_F(ObsServingTest, ServerEmitsExactlyOnePublishEventPerGeneration) {
   ServerConfig cfg;
   cfg.telemetry = hub;
   InferenceServer server(*pipeline_, cfg);
-  EXPECT_EQ(count_events(*hub, EventType::kSnapshotPublish, "boot"), 1u);
+  EXPECT_EQ(count_events(*hub, EventType::kRegistryLoad), 1u);  // the boot
 
   ASSERT_TRUE(server.publish(ModelSnapshot::make(*pipeline_, 2)));
   EXPECT_EQ(count_events(*hub, EventType::kSnapshotPublish, "operator"), 1u);
   // A stale publish loses the CAS and must NOT emit.
   EXPECT_FALSE(server.publish(ModelSnapshot::make(*pipeline_, 2)));
-  EXPECT_EQ(count_events(*hub, EventType::kSnapshotPublish), 2u);
+  EXPECT_EQ(count_events(*hub, EventType::kSnapshotPublish), 1u);
 }
 
 TEST_F(ObsServingTest, ShedEmitsExactlyOneEventWithReason) {
@@ -477,11 +487,11 @@ TEST_F(ObsServingTest, StatsAreAViewOverTheSharedHub) {
 
   // The exporter reads the SAME series stats() reads.
   const std::string prom = obs::to_prometheus(*hub);
-  EXPECT_NE(prom.find("smore_requests_completed_total{plane=\"server\"} " +
+  EXPECT_NE(prom.find("smore_requests_completed_total{plane=\"fleet\"} " +
                       std::to_string(n)),
             std::string::npos);
   EXPECT_NE(prom.find("smore_kernel_tier_info"), std::string::npos);
-  EXPECT_NE(prom.find("smore_snapshot_version{plane=\"server\"}"),
+  EXPECT_NE(prom.find("smore_snapshot_version{plane=\"fleet\"}"),
             std::string::npos);
 }
 
@@ -517,6 +527,33 @@ TEST_F(ObsServingTest, SpansCoverEndToEndLatency) {
               0.99 * static_cast<double>(s.total_ns));
     EXPECT_LE(static_cast<double>(s.total_ns) * 1e-9, max_latency + 1e-3);
     EXPECT_GT(s.predict_ns, 0u);  // predict can never be free
+  }
+}
+
+TEST_F(ObsServingTest, WindowSpansCarryTheEncodePhase) {
+  // Raw windows are encoded inside the batch: the encode phase is timed
+  // (encode_ns > 0) and the four phases still sum to the total.
+  obs::TelemetryConfig tc;
+  tc.trace.sample_every = 1;
+  tc.trace.ring_capacity = 4096;
+  const auto hub = obs::Telemetry::make(tc);
+  ServerConfig cfg;
+  cfg.telemetry = hub;
+  InferenceServer server(*pipeline_, cfg);
+  const std::size_t n = windows_.size();
+  std::vector<std::future<ServeResult>> futures;
+  for (std::size_t i = 0; i < n; ++i) {
+    futures.push_back(server.submit(windows_[i]));
+  }
+  for (auto& f : futures) EXPECT_EQ(f.get().status, ServeStatus::kOk);
+  server.shutdown();
+
+  const std::vector<obs::TraceSpan> spans = hub->tracer().recent();
+  ASSERT_EQ(spans.size(), n);
+  for (const obs::TraceSpan& s : spans) {
+    EXPECT_GT(s.encode_ns, 0u);
+    EXPECT_EQ(s.queue_ns + s.encode_ns + s.predict_ns + s.fulfill_ns,
+              s.total_ns);
   }
 }
 

@@ -110,7 +110,7 @@ TEST_F(ServeTest, SchedulerIsEquivalentToDirectBatchedCall) {
       cfg.max_batch = max_batch;
       cfg.num_workers = 2;
       cfg.queue_capacity = 64;
-      InferenceServer server(snap, nullptr, cfg);
+      InferenceServer server(snap, cfg);
       SCOPED_TRACE(::testing::Message() << "max_batch=" << max_batch
                                         << " producers=" << producers);
       expect_matches_reference(server, ref, producers);
@@ -133,7 +133,7 @@ TEST_F(ServeTest, BacklogIsServedInFullBatchesWithoutATimer) {
   ServerConfig cfg;
   cfg.max_batch = 8;
   auto gate = std::make_shared<testing::Gate>();
-  InferenceServer server(testing::gated(snap, gate), nullptr, cfg);
+  InferenceServer server(testing::gated(snap, gate), cfg);
   std::vector<std::future<ServeResult>> futures;
   const auto first = queries_.row(0);
   futures.push_back(server.submit({first.begin(), first.end()}));
@@ -160,7 +160,7 @@ TEST_F(ServeTest, PackedBackendMatchesDirectPackedCall) {
       snap->packed->predict_batch_full(queries_.view());
   ServerConfig cfg;
   cfg.max_batch = 16;
-  InferenceServer server(snap, nullptr, cfg);
+  InferenceServer server(snap, cfg);
   expect_matches_reference(server, ref, 4);
 }
 
@@ -203,12 +203,13 @@ TEST_F(ServeTest, WindowRequestsAreEncodedInBatch) {
   const HvDataset encoded = encoder->encode_dataset(raw);
   SmoreModel window_model(raw.num_classes(), kDim);
   window_model.fit(encoded);
-  const auto snap = ModelSnapshot::make(window_model.clone(), false, 1);
+  const auto snap =
+      ModelSnapshot::make(window_model.clone(), false, 1, encoder);
   const std::vector<int> ref = snap->model->predict_batch(encoded.view());
 
   ServerConfig cfg;
   cfg.max_batch = 8;
-  InferenceServer server(snap, encoder, cfg);
+  InferenceServer server(snap, cfg);
   encoder.reset();  // the server's shared ownership keeps it alive
   std::vector<std::future<ServeResult>> futures;
   futures.reserve(raw.size());
@@ -234,13 +235,14 @@ TEST_F(ServeTest, MixedWindowShapesCoalesceIntoIndependentGroups) {
   const HvDataset enc_b = encoder->encode_dataset(raw_b);
   SmoreModel window_model(raw_a.num_classes(), kDim);
   window_model.fit(enc_a);
-  const auto snap = ModelSnapshot::make(window_model.clone(), false, 1);
+  const auto snap =
+      ModelSnapshot::make(window_model.clone(), false, 1, encoder);
   const std::vector<int> ref_a = snap->model->predict_batch(enc_a.view());
   const std::vector<int> ref_b = snap->model->predict_batch(enc_b.view());
 
   ServerConfig cfg;
   cfg.max_batch = 16;
-  InferenceServer server(snap, encoder, cfg);
+  InferenceServer server(snap, cfg);
   const std::size_t n = std::min<std::size_t>(24, raw_b.size());
   std::vector<std::future<ServeResult>> fut_a;
   std::vector<std::future<ServeResult>> fut_b;
@@ -255,12 +257,12 @@ TEST_F(ServeTest, MixedWindowShapesCoalesceIntoIndependentGroups) {
 }
 
 TEST_F(ServeTest, SubmitWindowWithoutEncoderThrows) {
-  InferenceServer server(snapshot(), nullptr, {});
+  InferenceServer server(snapshot());
   EXPECT_THROW(server.submit(Window(2, 8)), std::logic_error);
 }
 
 TEST_F(ServeTest, SubmitRejectsDimensionMismatch) {
-  InferenceServer server(snapshot(), nullptr, {});
+  InferenceServer server(snapshot());
   EXPECT_THROW(server.submit(std::vector<float>(kDim + 1, 0.0f)),
                std::invalid_argument);
 }
@@ -273,7 +275,7 @@ TEST_F(ServeTest, ShutdownFulfillsEveryInflightRequest) {
   cfg.queue_capacity = 512;
   // The gate holds the worker in its first batch: requests pile up.
   auto gate = std::make_shared<testing::Gate>();
-  InferenceServer server(testing::gated(snap, gate), nullptr, cfg);
+  InferenceServer server(testing::gated(snap, gate), cfg);
   std::vector<std::future<ServeResult>> futures;
   futures.reserve(queries_.rows());
   for (std::size_t i = 0; i < queries_.rows(); ++i) {
@@ -312,7 +314,7 @@ TEST_F(ServeTest, SnapshotSwapDuringLoadDropsAndCorruptsNothing) {
   ServerConfig cfg;
   cfg.max_batch = 8;
   cfg.num_workers = 2;
-  InferenceServer server(snap, nullptr, cfg);
+  InferenceServer server(snap, cfg);
 
   constexpr int kRounds = 6;
   std::atomic<bool> done{false};
@@ -354,7 +356,7 @@ TEST_F(ServeTest, SnapshotSwapDuringLoadDropsAndCorruptsNothing) {
 TEST_F(ServeTest, StalePublishLosesToTheNewerGeneration) {
   // Two publishers race in deployment: an adaptation round built off an old
   // generation must not overwrite an operator's newer model.
-  InferenceServer server(snapshot(false, 5), nullptr, {});
+  InferenceServer server(snapshot(false, 5));
   EXPECT_FALSE(server.publish(ModelSnapshot::make(model_->clone(), false, 5)));
   EXPECT_FALSE(server.publish(ModelSnapshot::make(model_->clone(), false, 3)));
   EXPECT_EQ(server.snapshot()->version, 5u);
@@ -363,8 +365,12 @@ TEST_F(ServeTest, StalePublishLosesToTheNewerGeneration) {
 }
 
 TEST_F(ServeTest, PublishRejectsMismatchedSnapshot) {
-  InferenceServer server(snapshot(), nullptr, {});
+  InferenceServer server(snapshot());
   EXPECT_THROW(server.publish(nullptr), std::invalid_argument);
+  // A hand-built generation without a backend would crash the next batch.
+  auto no_backend = std::make_shared<ModelSnapshot>(*snapshot(false, 9));
+  no_backend->backend = nullptr;
+  EXPECT_THROW(server.publish(no_backend), std::invalid_argument);
   SmoreModel other(kClasses, kDim / 2);
   other.fit(separable_hv_dataset(kClasses, kDomains, 4, kDim / 2));
   EXPECT_THROW(server.publish(ModelSnapshot::make(std::move(other), false, 9)),
@@ -440,7 +446,7 @@ TEST_F(ServeTest, SnapshotBootsFromAnArtifactStream) {
   ASSERT_NE(snap->encoder, nullptr);
   EXPECT_EQ(snap->encoder->dim(), kDim);
 
-  InferenceServer server(snap, nullptr, {});  // encoder comes from the snap
+  InferenceServer server(snap);  // encoder comes from the snap
   const std::vector<int> ref =
       pipeline.predict_batch(raw, ServeBackend::kPacked);
   std::vector<std::future<ServeResult>> futures;
@@ -521,7 +527,7 @@ TEST_F(ServeTest, AdaptationWorkerEnrollsAnUnseenDomainUnderLoad) {
   cfg.adaptation = true;
   cfg.adapt_min_batch = 16;
   cfg.adapt_poll_ms = 1;
-  InferenceServer server(snap, nullptr, cfg);
+  InferenceServer server(snap, cfg);
 
   // An outsider cluster: one shifted prototype + small noise, so the
   // samples are mutually similar (enrollable) but dissimilar to training.

@@ -11,6 +11,7 @@
 #include <memory>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "core/pipeline.hpp"
@@ -380,6 +381,114 @@ TEST_F(MultiTenantTest, RedeployWithNewDimensionFailsPerRequestNotTheWorker) {
   const auto per_tenant = server.tenant_stats();
   ASSERT_EQ(per_tenant.size(), 1u);
   EXPECT_EQ(per_tenant[0].inflight, 0u);
+}
+
+TEST_F(MultiTenantTest, WindowsAreEncodedByEachTenantsOwnEncoder) {
+  // Tenants "x" and "y" carry encoders with different basis seeds in their
+  // artifacts. The same raw window sent to both must be encoded by each
+  // tenant's own encoder: every answer equals that tenant's direct
+  // Pipeline prediction. One worker in total encodes with the pool, more
+  // stay serial; both paths are covered.
+  const auto make = [this](std::uint64_t seed) {
+    EncoderConfig ec;
+    ec.dim = kDim;
+    ec.seed = seed;
+    Pipeline p(std::make_shared<const MultiSensorEncoder>(ec),
+               windows_a_.num_classes());
+    p.fit(windows_a_);
+    p.quantize();
+    p.calibrate(windows_a_, 0.08);
+    return std::make_pair(render(p),
+                          p.predict_batch_full(windows_a_,
+                                               ServeBackend::kPacked));
+  };
+  const auto x = make(0x1111);
+  const auto y = make(0x2222);
+  const std::string& artifact_x = x.first;
+  const std::string& artifact_y = y.first;
+  const SmoreBatchResult& ref_x = x.second;
+  const SmoreBatchResult& ref_y = y.second;
+  ASSERT_NE(ref_x.max_similarity, ref_y.max_similarity)
+      << "test premise: the two encoders differ";
+
+  for (const std::size_t shards : {std::size_t{1}, std::size_t{2}}) {
+    SCOPED_TRACE(::testing::Message() << "num_shards=" << shards);
+    auto registry = std::make_shared<ModelRegistry>(
+        [&](const std::string& tenant) {
+          std::istringstream in(tenant == "x" ? artifact_x : artifact_y,
+                                std::ios::binary);
+          return ModelSnapshot::from_artifact(in, /*version=*/1);
+        });
+    MultiTenantConfig cfg;
+    cfg.num_shards = shards;
+    cfg.max_batch = 8;
+    MultiTenantServer server(std::move(registry), cfg);
+    const std::size_t n = windows_a_.size();
+    std::vector<std::future<ServeResult>> fut_x, fut_y;
+    for (std::size_t i = 0; i < n; ++i) {
+      fut_x.push_back(server.submit("x", windows_a_[i]));
+      fut_y.push_back(server.submit("y", windows_a_[i]));
+    }
+    const std::size_t k = ref_x.num_domains;
+    for (std::size_t i = 0; i < n; ++i) {
+      for (const auto& [fut, ref] :
+           {std::pair{&fut_x[i], &ref_x}, std::pair{&fut_y[i], &ref_y}}) {
+        const ServeResult r = fut->get();
+        ASSERT_EQ(r.status, ServeStatus::kOk);
+        EXPECT_EQ(r.label, ref->labels[i]) << "window " << i;
+        EXPECT_EQ(r.is_ood, ref->ood[i] != 0) << "window " << i;
+        EXPECT_DOUBLE_EQ(r.max_similarity, ref->max_similarity[i])
+            << "window " << i;
+        ASSERT_EQ(r.weights.size(), k);
+        for (std::size_t d = 0; d < k; ++d) {
+          EXPECT_DOUBLE_EQ(r.weights[d], ref->weights[i * k + d]);
+        }
+      }
+    }
+  }
+}
+
+TEST_F(MultiTenantTest, WindowForATenantWithoutAnEncoderThrowsAtSubmit) {
+  // A snapshot built from a bare model carries no encoder: a raw window for
+  // that tenant is refused at submit, and its reservation is released.
+  auto registry = std::make_shared<ModelRegistry>([this](const std::string&) {
+    return ModelSnapshot::make(pipeline_a_->model().clone(), false, 1);
+  });
+  MultiTenantServer server(std::move(registry));
+  EXPECT_THROW(server.submit("bare", windows_a_[0]), std::logic_error);
+  const auto per_tenant = server.tenant_stats();
+  ASSERT_EQ(per_tenant.size(), 1u);
+  EXPECT_EQ(per_tenant[0].inflight, 0u);
+  EXPECT_EQ(per_tenant[0].submitted, 0u);
+  // Pre-encoded queries for the same tenant are still served.
+  EXPECT_EQ(server.submit("bare", query(0)).get().status, ServeStatus::kOk);
+}
+
+TEST_F(MultiTenantTest, BatchMixingWindowsAndHypervectorsAnswersBoth) {
+  // A held first batch makes a window request and a hypervector request of
+  // one tenant queue together, so they are popped as ONE batch.
+  auto gate = std::make_shared<testing::Gate>();
+  MultiTenantConfig cfg;
+  cfg.max_batch = 8;
+  MultiTenantServer server(make_registry({}, gate), cfg);
+  testing::GateRelease release(*gate);
+  std::future<ServeResult> held = server.submit("a", query(1));
+  gate->wait_for_callers(1);
+  std::future<ServeResult> window = server.submit("a", windows_a_[2]);
+  std::future<ServeResult> hv = server.submit("a", query(3));
+  gate->open();
+
+  for (const auto& [fut, row] :
+       {std::pair{&held, std::size_t{1}}, std::pair{&window, std::size_t{2}},
+        std::pair{&hv, std::size_t{3}}}) {
+    const ServeResult r = fut->get();
+    ASSERT_EQ(r.status, ServeStatus::kOk) << "row " << row;
+    EXPECT_EQ(r.label, ref_a_.labels[row]) << "row " << row;
+    EXPECT_EQ(r.is_ood, ref_a_.ood[row] != 0) << "row " << row;
+    EXPECT_DOUBLE_EQ(r.max_similarity, ref_a_.max_similarity[row])
+        << "row " << row;
+  }
+  EXPECT_EQ(server.stats().batches, 2u);  // the held one + the mixed one
 }
 
 }  // namespace

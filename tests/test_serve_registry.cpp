@@ -195,6 +195,26 @@ TEST_F(RegistryTest, PublishSwapsOnlyTheResidentTenant) {
       registry.publish("cold", ModelSnapshot::from_artifact(in2, 3)));
 }
 
+TEST_F(RegistryTest, SnapshotWithoutABackendIsRejectedOnBootAndPublish) {
+  // A hand-built generation with a null backend would be dereferenced by
+  // the next batch; the tenant refuses it up front instead.
+  const auto without_backend = [this](std::uint64_t version) {
+    std::istringstream in(artifact_, std::ios::binary);
+    auto snap = std::make_shared<ModelSnapshot>(
+        *ModelSnapshot::from_artifact(in, version));
+    snap->backend = nullptr;
+    return std::shared_ptr<const ModelSnapshot>(std::move(snap));
+  };
+  EXPECT_THROW(TenantModel("t", without_backend(1)), std::invalid_argument);
+
+  ModelRegistry registry(opener());
+  const auto model = registry.acquire("t0");
+  EXPECT_THROW(model->publish(without_backend(2)), std::invalid_argument);
+  EXPECT_THROW(registry.publish("t0", without_backend(2)),
+               std::invalid_argument);
+  EXPECT_EQ(model->snapshot()->version, 1u);
+}
+
 TEST_F(RegistryTest, DirectorySourceProbesThenLoads) {
   const std::string dir = ::testing::TempDir();
   {
