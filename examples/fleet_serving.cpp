@@ -6,7 +6,7 @@
 //   1. train THREE distinct tenant pipelines and deploy each as
 //      <dir>/<tenant>.smore — the registry's directory layout;
 //   2. boot a ModelRegistry budgeted for TWO resident models behind a
-//      MultiTenantServer (fair mode) and watch the cold-start → warm
+//      MultiTenantServer and watch the cold-start → warm
 //      latency drop as lazy loads cache;
 //   3. touch the third tenant: the LRU tenant is evicted to fit the
 //      budget, transparently reloaded on its next request, and every

@@ -17,8 +17,7 @@
 // ensembles class *similarities* instead — score(c) = Σ_k w_k·δ_H(Q, C_c^k).
 // Because Hamming similarities are already normalized to [-1, 1], this is
 // the natural packed reading of Eq. 3; the quantized-vs-float accuracy gap
-// is bounded by a tier-1 test and quantified in bench_binary_inference and
-// the edge example.
+// is bounded by a tier-1 test and reported by the edge example.
 //
 // δ* transfers from the float model by default, but Hamming similarities
 // live on a (slightly) different scale than cosine; calibrate_delta_star

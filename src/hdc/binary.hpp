@@ -80,11 +80,6 @@ class BinaryModel {
     return classes_.bytes();
   }
 
-  /// The packed class-vector block itself (footprint reports, serialization).
-  [[nodiscard]] const BitMatrix& class_bits() const noexcept {
-    return classes_;
-  }
-
   /// Predict from a raw (float) query: the query is quantized on the fly.
   /// Thin wrapper over a batch of one.
   [[nodiscard]] int predict(std::span<const float> hv) const;

@@ -3,8 +3,6 @@
 namespace smore::obs {
 
 Telemetry::Telemetry(TelemetryConfig config)
-    : config_(config),
-      tracer_(config.trace),
-      events_(config.event_capacity) {}
+    : tracer_(config.trace), events_(config.event_capacity) {}
 
 }  // namespace smore::obs

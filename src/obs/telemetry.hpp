@@ -9,10 +9,12 @@
 // builds its own, so stats views always work and unit tests never collide on
 // metric names.
 //
-// Cost model: counters are always on — they back the public stats structs
-// and cost one relaxed fetch_add. The `histograms` / `traces` / `events`
-// switches gate everything else, and bench_telemetry_overhead measures
-// all-on vs all-off (compiled in, switched off) against the ≤2% budget.
+// Cost model: everything records, always. Counters back the public stats
+// structs and cost one relaxed fetch_add; histograms, trace spans and
+// events are the rest. Their cost is part of every served latency the
+// benchmark reports, and its traced run prices full-rate tracing as
+// obs.trace_overhead_frac (perfbench/README.md). TracerConfig sets how
+// often a span is kept, not whether one is cut.
 
 #include <memory>
 
@@ -23,9 +25,6 @@
 namespace smore::obs {
 
 struct TelemetryConfig {
-  bool histograms = true;  ///< latency/queue/service histogram recording
-  bool traces = true;      ///< tail-sampled span detail
-  bool events = true;      ///< discrete-occurrence log
   TracerConfig trace;
   std::size_t event_capacity = 1024;
 };
@@ -38,9 +37,6 @@ class Telemetry {
     return std::make_shared<Telemetry>(config);
   }
 
-  [[nodiscard]] const TelemetryConfig& config() const noexcept {
-    return config_;
-  }
   [[nodiscard]] MetricsRegistry& metrics() noexcept { return metrics_; }
   [[nodiscard]] const MetricsRegistry& metrics() const noexcept {
     return metrics_;
@@ -50,20 +46,13 @@ class Telemetry {
   [[nodiscard]] EventLog& events() noexcept { return events_; }
   [[nodiscard]] const EventLog& events() const noexcept { return events_; }
 
-  [[nodiscard]] bool histograms_on() const noexcept {
-    return config_.histograms;
-  }
-  [[nodiscard]] bool traces_on() const noexcept { return config_.traces; }
-  [[nodiscard]] bool events_on() const noexcept { return config_.events; }
-
-  /// Emit gated on the events switch — the call sites' one-liner.
+  /// Append one event to the log — the call sites' one-liner.
   void emit(EventType type, std::string_view scope, std::string_view reason,
             std::int64_t value = 0) noexcept {
-    if (config_.events) events_.emit(type, scope, reason, value);
+    events_.emit(type, scope, reason, value);
   }
 
  private:
-  TelemetryConfig config_;
   MetricsRegistry metrics_;
   Tracer tracer_;
   EventLog events_;

@@ -66,11 +66,6 @@ MultiTenantServer::MultiTenantServer(std::shared_ptr<ModelRegistry> registry,
         std::max(config_.adapt_min_batch, config_.adapt_buffer_capacity);
     adaptation_thread_ = std::thread([this] { adaptation_loop(); });
   }
-  if (!config_.export_path.empty()) {
-    config_.export_interval_ms =
-        std::max<std::uint32_t>(1, config_.export_interval_ms);
-    export_thread_ = std::thread([this] { export_loop(); });
-  }
 }
 
 MultiTenantServer::~MultiTenantServer() { shutdown(); }
@@ -115,7 +110,7 @@ std::optional<std::future<ServeResult>> MultiTenantServer::do_submit(
   // still counts, so its traffic is visible to concurrent try_submits.
   const std::uint64_t inflight =
       slot->inflight.fetch_add(1, std::memory_order_relaxed);
-  if (!blocking && config_.fair && config_.tenant_inflight_quota != 0 &&
+  if (!blocking && config_.tenant_inflight_quota != 0 &&
       inflight >= config_.tenant_inflight_quota) {
     slot->inflight.fetch_sub(1, std::memory_order_relaxed);
     tel_->record_shed(ServeStatus::kShedTenantQuota, tenant, slot->tel);
@@ -210,8 +205,8 @@ void MultiTenantServer::worker_loop(std::size_t shard_index,
   // Worker-local staging: arrivals (any tenant, FIFO off the shard queue)
   // are grouped per tenant here, because a batch cannot mix tenants. The
   // rotation ring realizes drain fairness: one micro-batch per pending
-  // tenant per turn. Invariant (fair mode): a tenant is in the ring iff its
-  // group exists (groups are erased when drained).
+  // tenant per turn. Invariant: a tenant is in the ring iff its group
+  // exists (groups are erased when drained).
   struct Group {
     std::deque<Request> q;
   };
@@ -240,36 +235,13 @@ void MultiTenantServer::worker_loop(std::size_t shard_index,
     }
     for (Request& r : incoming) {
       Group& g = groups[r.slot->tenant];
-      if (g.q.empty() && config_.fair) rotation.push_back(r.slot->tenant);
+      if (g.q.empty()) rotation.push_back(r.slot->tenant);
       g.q.push_back(std::move(r));
       ++pending;
     }
 
-    // Pick the tenant to serve this turn.
-    std::string tenant;
-    if (config_.fair) {
-      tenant = std::move(rotation.front());
-      rotation.pop_front();
-    } else {
-      // Throughput-greedy baseline: serve the LARGEST pending group —
-      // maximizing batch fill maximizes aggregate q/s, and is exactly the
-      // policy that starves the tail: a Zipf-head tenant's group refills
-      // faster than a tail tenant's singleton can ever become the largest.
-      // Ties break toward the older front request so equal-depth groups
-      // still drain in arrival order. The bench quantifies the tail p99
-      // this policy buys its throughput with.
-      auto best = groups.begin();
-      for (auto it = std::next(groups.begin()); it != groups.end(); ++it) {
-        if (it->second.q.size() > best->second.q.size() ||
-            (it->second.q.size() == best->second.q.size() &&
-             it->second.q.front().submit_time <
-                 best->second.q.front().submit_time)) {
-          best = it;
-        }
-      }
-      tenant = best->first;
-    }
-
+    std::string tenant = std::move(rotation.front());
+    rotation.pop_front();
     auto git = groups.find(tenant);
     Group& g = git->second;
     batch.clear();
@@ -281,7 +253,7 @@ void MultiTenantServer::worker_loop(std::size_t shard_index,
     pending -= take;
     if (g.q.empty()) {
       groups.erase(git);
-    } else if (config_.fair) {
+    } else {
       rotation.push_back(tenant);  // back of the ring: others go first
     }
     process_batch(batch, worker_index);
@@ -554,24 +526,6 @@ void MultiTenantServer::adaptation_loop() {
   }
 }
 
-void MultiTenantServer::export_loop() {
-  const std::chrono::milliseconds interval(config_.export_interval_ms);
-  for (;;) {
-    {
-      const MutexLock lock(export_m_);
-      const auto deadline = std::chrono::steady_clock::now() + interval;
-      while (!export_stopping_) {
-        if (export_cv_.wait_until(export_m_, deadline) ==
-            std::cv_status::timeout) {
-          break;
-        }
-      }
-      if (export_stopping_) return;  // shutdown writes the final snapshot
-    }
-    write_telemetry(config_.export_path);
-  }
-}
-
 bool MultiTenantServer::write_telemetry(const std::string& path) const {
   return obs::write_file_atomic(path,
                                 obs::snapshot_json_text(*tel_->hub_ptr()));
@@ -634,17 +588,6 @@ void MultiTenantServer::shutdown() {
       }
       adapt_cv_.notify_all();
       adaptation_thread_.join();
-    }
-    if (export_thread_.joinable()) {
-      {
-        const MutexLock lock(export_m_);
-        export_stopping_ = true;
-      }
-      export_cv_.notify_all();
-      export_thread_.join();
-      // Final snapshot AFTER all workers drained: the exported file's last
-      // generation carries the complete counters.
-      write_telemetry(config_.export_path);
     }
   });
 }

@@ -21,15 +21,12 @@
 //     a busy one tops up without sleeping, and nothing waits for stragglers.
 //     The batch pins the TenantModel: a registry eviction mid-batch cannot
 //     free the model under the kernel;
-//   * tenant-fair admission + drain — with `fair` set, try_submit enforces a
-//     per-tenant in-flight quota (admission control: a Zipf-head tenant that
-//     floods the shard is shed with kShedTenantQuota while the tail is still
-//     admitted) and workers drain pending tenant groups round-robin (one
-//     batch per tenant per turn — service fairness: the head cannot starve
-//     the tail inside the queue either). With `fair` off the server is the
-//     throughput-greedy baseline: no quota, largest-group-first drain
-//     (maximizes batch fill, starves the tail) — the configuration the
-//     multi-tenant bench contrasts against.
+//   * tenant-fair admission + drain — try_submit enforces a per-tenant
+//     in-flight quota (admission control: a Zipf-head tenant that floods the
+//     shard is shed with kShedTenantQuota while the tail is still admitted)
+//     and workers drain pending tenant groups round-robin (one batch per
+//     tenant per turn — service fairness: the head cannot starve the tail
+//     inside the queue either). Round-robin is the only drain policy.
 //
 // Model residency (lazy load, single-flight, LRU under a byte budget) is the
 // registry's job; the router only acquires. An artifact that fails to load
@@ -80,17 +77,16 @@ namespace smore {
 
 /// Fleet-serving knobs. max_batch caps how much queued work one kernel pass
 /// fuses (batches are work-conserving, never timed); the rest is the shard
-/// layout, the fairness policy, and the adaptation worker.
+/// layout, the tenant quota, and the adaptation worker.
 struct MultiTenantConfig {
   std::size_t num_shards = 1;        ///< independent queue+worker slices
   std::size_t workers_per_shard = 1; ///< batching workers per shard
   std::size_t max_batch = 64;        ///< per-tenant micro-batch cap
   std::size_t shard_queue_capacity = 1024;  ///< per-shard request bound
 
-  bool fair = true;  ///< per-tenant quota + round-robin drain (see header)
   /// Max in-flight requests per tenant before try_submit sheds with
-  /// kShedTenantQuota (fair mode only; 0 = unbounded). Blocking submit()
-  /// bypasses the quota — backpressure already slows that producer down.
+  /// kShedTenantQuota (0 = unbounded). Blocking submit() bypasses the
+  /// quota — backpressure already slows that producer down.
   std::size_t tenant_inflight_quota = 256;
 
   /// Per-tenant online adaptation: shard workers feed each tenant's OOD
@@ -113,19 +109,12 @@ struct MultiTenantConfig {
   /// RegistryConfig::telemetry for one unified export surface (fleet_top
   /// sees residency AND traffic); null means a private hub.
   std::shared_ptr<obs::Telemetry> telemetry;
-  /// When non-empty, a background thread writes the JSON telemetry snapshot
-  /// (obs::snapshot_json_text) to this path every export_interval_ms,
-  /// atomically (tmp + rename) — the file fleet_top watches. One final
-  /// write happens at shutdown so the last counters are never lost.
-  std::string export_path;
-  std::uint32_t export_interval_ms = 1000;  ///< exporter cadence
 };
 
 /// Per-tenant counters + latency histograms. Slots are created on first
 /// submit and never dropped — stats survive model eviction, so a tenant's
 /// history spans its cold/warm cycles. A VIEW over the telemetry registry's
-/// {tenant=...} series; the histograms are empty when the hub's histogram
-/// switch is off.
+/// {tenant=...} series.
 struct TenantServerStats {
   std::string tenant;
   std::uint64_t submitted = 0;
@@ -143,7 +132,7 @@ struct TenantServerStats {
   std::uint64_t adaptation_evicted = 0;  ///< lifecycle: domains evicted
   /// Histogram COPIES (mergeable): queue_wait is submit → batch start,
   /// service is batch start → fulfillment, latency is the end-to-end sum
-  /// per request. The bench merges tail-tenant cohorts from these.
+  /// per request. Tail-tenant cohorts merge from these.
   LatencyHistogram queue_wait;
   LatencyHistogram service;
   LatencyHistogram latency;
@@ -201,7 +190,7 @@ class MultiTenantServer {
 
   /// Non-blocking submit: sheds instead of waiting. std::nullopt on a full
   /// shard queue (kShedQueueFull), an exhausted tenant quota
-  /// (kShedTenantQuota, fair mode), or after shutdown (kShuttingDown) —
+  /// (kShedTenantQuota), or after shutdown (kShuttingDown) —
   /// the reason lands in `*shed_reason` when non-null. A failed artifact
   /// load still returns a future (carrying the exception): the request was
   /// admitted, the tenant is broken — those are different signals.
@@ -230,8 +219,8 @@ class MultiTenantServer {
     return tel_->hub_ptr();
   }
 
-  /// Write the JSON telemetry snapshot to `path` atomically (tmp + rename).
-  /// What the periodic exporter calls; also useful for one-shot dumps.
+  /// Write the JSON telemetry snapshot to `path` atomically (tmp + rename):
+  /// the file fleet_top reads.
   bool write_telemetry(const std::string& path) const;
 
  private:
@@ -286,8 +275,6 @@ class MultiTenantServer {
                    TenantSlot& slot);
   /// The shared per-tenant adaptation sweep (one thread for the fleet).
   void adaptation_loop();
-  /// Periodic JSON snapshot writer (spawned when export_path is set).
-  void export_loop();
   /// One tenant's lifecycle round: clone → adapt → republish its generation.
   void run_tenant_round(TenantSlot& slot, std::vector<OodSample> round,
                         std::span<const std::pair<int, double>> usage);
@@ -316,12 +303,6 @@ class MultiTenantServer {
   // series); stats() reads the same handles the hot path bumps.
   std::unique_ptr<ServeTelemetry> tel_;
   obs::Counter* tenants_seen_ = nullptr;  // slots ever created
-
-  // Periodic exporter (export_path only).
-  std::thread export_thread_;
-  Mutex export_m_;
-  CondVar export_cv_;
-  bool export_stopping_ SMORE_GUARDED_BY(export_m_) = false;
 
   std::atomic<bool> shut_down_{false};
   std::once_flag shutdown_once_;

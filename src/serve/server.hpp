@@ -61,8 +61,7 @@ struct ServerConfig {
 
 /// The stats endpoint payload: the fleet's counters and latency
 /// percentiles (a view over the telemetry hub, so stats() and the exporters
-/// can never disagree) plus the live snapshot. `latency` is empty when the
-/// hub's histogram switch is off.
+/// can never disagree) plus the live snapshot.
 struct ServerStats : MultiTenantStats {
   std::uint64_t snapshot_version = 0;  ///< live generation id
   std::size_t live_domains = 0;        ///< K of the live snapshot
@@ -113,7 +112,7 @@ class InferenceServer {
   /// model's dimension (std::invalid_argument otherwise, and on null); in-
   /// flight batches finish on the generation they started with. Returns
   /// false when the live generation is already >= snap->version (the stale
-  /// publisher loses; see SnapshotRegistry).
+  /// publisher loses; see TenantModel::publish).
   bool publish(std::shared_ptr<const ModelSnapshot> snap);
 
   /// The live snapshot (never null).

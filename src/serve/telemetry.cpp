@@ -155,34 +155,28 @@ void ServeTelemetry::record_batch(
   tenant.completed->add(n);
   if (flagged != 0) tenant.ood->add(flagged);
 
-  const bool hists = hub_->histograms_on();
-  const bool traces = hub_->traces_on();
-  if (!hists && !traces) return;
   const double service_s = seconds_between(t.batch_start, t.done);
   for (std::size_t i = 0; i < n; ++i) {
-    if (hists) {
-      const double queue_s = seconds_between(submit_times[i], t.batch_start);
-      latency->record(queue_s + service_s);
-      tenant.queue_wait->record(queue_s);
-      tenant.service->record(service_s);
-      tenant.latency->record(queue_s + service_s);
-    }
-    if (traces) {
-      obs::TraceSpan span;
-      span.snapshot_version = snapshot_version;
-      span.queue_ns = ns_between(submit_times[i], t.batch_start);
-      span.encode_ns = ns_between(t.batch_start, t.encode_done);
-      span.predict_ns = ns_between(t.encode_done, t.predict_done);
-      span.fulfill_ns = ns_between(t.predict_done, t.done);
-      span.total_ns =
-          span.queue_ns + span.encode_ns + span.predict_ns + span.fulfill_ns;
-      span.shard = shard;
-      span.batch_rows = static_cast<std::uint32_t>(n);
-      span.label = i < labels.size() ? labels[i] : -1;
-      span.ood = i < ood_flags.size() ? ood_flags[i] : 0;
-      span.set_tenant(tenant_name);
-      hub_->tracer().record(span);
-    }
+    const double queue_s = seconds_between(submit_times[i], t.batch_start);
+    latency->record(queue_s + service_s);
+    tenant.queue_wait->record(queue_s);
+    tenant.service->record(service_s);
+    tenant.latency->record(queue_s + service_s);
+
+    obs::TraceSpan span;
+    span.snapshot_version = snapshot_version;
+    span.queue_ns = ns_between(submit_times[i], t.batch_start);
+    span.encode_ns = ns_between(t.batch_start, t.encode_done);
+    span.predict_ns = ns_between(t.encode_done, t.predict_done);
+    span.fulfill_ns = ns_between(t.predict_done, t.done);
+    span.total_ns =
+        span.queue_ns + span.encode_ns + span.predict_ns + span.fulfill_ns;
+    span.shard = shard;
+    span.batch_rows = static_cast<std::uint32_t>(n);
+    span.label = i < labels.size() ? labels[i] : -1;
+    span.ood = i < ood_flags.size() ? ood_flags[i] : 0;
+    span.set_tenant(tenant_name);
+    hub_->tracer().record(span);
   }
 }
 

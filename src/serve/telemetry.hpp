@@ -11,9 +11,8 @@
 // only caller; the one-tenant InferenceServer façade reports through it.
 //
 // Metric handles are created once at construction / slot creation — the hot
-// path never touches the registry map. Counters are always on (they back the
-// stats structs); histogram and trace recording honor the hub's switches,
-// which is the axis bench_telemetry_overhead measures.
+// path never touches the registry map. Every counter, histogram and span is
+// recorded for every request; the tracer alone decides which spans it keeps.
 
 #include <chrono>
 #include <cstdint>
@@ -103,9 +102,9 @@ class ServeTelemetry {
   };
 
   /// THE accounting-before-fulfillment block: batch/row/completed/ood
-  /// counters (plane + tenant), latency histograms when enabled, and one
-  /// trace span per request when enabled — all from the caller's timestamps,
-  /// all before the caller touches a promise. Spans are parallel over the
+  /// counters (plane + tenant), latency histograms, and one trace span per
+  /// request — all from the caller's timestamps, all before the caller
+  /// touches a promise. Spans are parallel over the
   /// batch: submit_times[i], ood_flags[i], labels[i] describe request i.
   void record_batch(const BatchTimes& t,
                     std::span<const std::chrono::steady_clock::time_point>

@@ -171,9 +171,7 @@ TEST(ConcurrentHistogram, SnapshotsMergeLikePlainHistograms) {
 // --------------------------------------------------------------- exporters
 
 TEST(PrometheusExport, LineByLine) {
-  obs::TelemetryConfig tc;
-  tc.events = false;
-  obs::Telemetry hub(tc);
+  obs::Telemetry hub;
   hub.metrics()
       .counter("smore_requests_total", {{"plane", "server"}})
       ->add(17);
@@ -622,26 +620,6 @@ TEST_F(ObsServingTest, WriteTelemetryProducesParsableSnapshot) {
   ASSERT_TRUE(doc.has_value()) << error;
   EXPECT_EQ(doc->at("schema").as_string(), "smore.telemetry.v1");
   EXPECT_GT(doc->at("metrics").size(), 0u);
-}
-
-TEST_F(ObsServingTest, DisabledSwitchesKeepCountersButSkipDetail) {
-  obs::TelemetryConfig tc;
-  tc.histograms = false;
-  tc.traces = false;
-  tc.events = false;
-  const auto hub = obs::Telemetry::make(tc);
-  ServerConfig cfg;
-  cfg.telemetry = hub;
-  InferenceServer server(*pipeline_, cfg);
-  std::vector<std::future<ServeResult>> futures;
-  for (std::size_t i = 0; i < 8; ++i) futures.push_back(server.submit(query(i)));
-  for (auto& f : futures) EXPECT_EQ(f.get().status, ServeStatus::kOk);
-
-  const ServerStats s = server.stats();
-  EXPECT_EQ(s.completed, 8u);        // counters always on
-  EXPECT_EQ(s.latency.count, 0u);    // histograms off → empty view
-  EXPECT_EQ(hub->tracer().observed(), 0u);
-  EXPECT_EQ(hub->events().emitted(), 0u);
 }
 
 }  // namespace

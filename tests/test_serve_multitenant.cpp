@@ -166,7 +166,6 @@ TEST_F(MultiTenantTest, QuotaShedsTheFlooderNotTheFleet) {
   MultiTenantConfig cfg;
   cfg.num_shards = 1;
   cfg.max_batch = 64;
-  cfg.fair = true;
   cfg.tenant_inflight_quota = 8;
   // The gate holds the worker in its first batch: nothing completes, so
   // in-flight counts only grow while the flood is submitted.
@@ -205,12 +204,11 @@ TEST_F(MultiTenantTest, QuotaShedsTheFlooderNotTheFleet) {
   EXPECT_EQ(per_tenant[1].shed_tenant_quota, 0u);
 }
 
-TEST_F(MultiTenantTest, UnfairModeHasNoQuota) {
+TEST_F(MultiTenantTest, ZeroQuotaAdmitsEveryTrySubmit) {
   MultiTenantConfig cfg;
   cfg.num_shards = 1;
   cfg.max_batch = 64;
-  cfg.fair = false;  // throughput-greedy baseline
-  cfg.tenant_inflight_quota = 8;  // ignored without fair
+  cfg.tenant_inflight_quota = 0;  // unbounded: the InferenceServer setting
   // The held worker keeps all 50 requests in flight at once.
   auto gate = std::make_shared<testing::Gate>();
   MultiTenantServer server(make_registry({}, gate), cfg);
@@ -225,6 +223,7 @@ TEST_F(MultiTenantTest, UnfairModeHasNoQuota) {
   gate->open();
   for (auto& f : futures) EXPECT_EQ(f.get().status, ServeStatus::kOk);
   EXPECT_EQ(server.stats().shed_tenant_quota, 0u);
+  EXPECT_EQ(server.tenant_stats()[0].shed_tenant_quota, 0u);
 }
 
 TEST_F(MultiTenantTest, BacklogIsServedInFullBatchesWithoutATimer) {

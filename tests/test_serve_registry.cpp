@@ -186,7 +186,7 @@ TEST_F(RegistryTest, PublishSwapsOnlyTheResidentTenant) {
   const auto gen2 = ModelSnapshot::from_artifact(in, /*version=*/2);
   EXPECT_TRUE(registry.publish("t0", gen2));
   EXPECT_EQ(model->snapshot()->version, 2u);
-  // Stale publisher loses (same CAS contract as SnapshotRegistry).
+  // Stale publisher loses (the CAS contract of TenantModel::publish).
   std::istringstream in1(artifact_, std::ios::binary);
   EXPECT_FALSE(registry.publish("t0", ModelSnapshot::from_artifact(in1, 1)));
   // Cold tenants have nothing to publish onto.

@@ -2,8 +2,8 @@
 // (DESIGN.md §14).
 //
 // The serving stack has no HTTP endpoint by design; its export transport is
-// a JSON file written atomically (MultiTenantConfig::export_path, or any
-// call to write_telemetry / obs::snapshot_json_text). This tool tails that
+// a JSON file written atomically (MultiTenantServer::write_telemetry, or
+// obs::snapshot_json_text + obs::write_file_atomic). This tool tails that
 // file and renders the fleet dashboard: plane counters, a per-tenant table,
 // the slowest-request spans, and the recent event log.
 //
